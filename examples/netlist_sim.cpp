@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
                   rtn_result.traces.size());
       for (const auto& trace : rtn_result.traces) {
         std::printf("  %s: %zu traps, %llu transitions\n",
-                    trace.device.c_str(), trace.traps.size(),
+                    trace.name.c_str(), trace.traps.size(),
                     static_cast<unsigned long long>(trace.stats.accepted));
       }
       std::printf("\n");

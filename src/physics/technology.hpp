@@ -38,6 +38,8 @@ struct Technology {
   double v_th0() const;
   /// Thermal voltage at the card's temperature, V.
   double phi_t() const;
+
+  bool operator==(const Technology&) const = default;
 };
 
 /// Predefined nodes: "130nm", "90nm", "65nm", "45nm", "32nm", "22nm".

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 
@@ -352,23 +353,44 @@ ParsedNetlist parse_netlist(const std::string& text) {
         }
         if (head == ".rtn") {
           need(2, ".rtn device [scale=..] [seed=..]");
-          RtnRequest request;
-          request.device = t[1];
+          RtnCard card;
+          card.device = t[1];
+          for (const auto& other : result.rtn_requests) {
+            if (other.device == card.device) {
+              throw ParseError(line.number,
+                               "second .rtn card for '" + card.device + "'");
+            }
+          }
           for (std::size_t i = 2; i < t.size(); ++i) {
             std::string key, value;
             if (!split_param(t[i], key, value)) {
               throw ParseError(line.number, "expected key=value on .rtn");
             }
             if (key == "scale") {
-              request.scale = parse_spice_value(value);
+              try {
+                card.scale = parse_spice_value(value);
+              } catch (const std::invalid_argument& e) {
+                throw ParseError(line.number, e.what());
+              }
+              if (!(std::isfinite(card.scale) && card.scale >= 0.0)) {
+                throw ParseError(line.number,
+                                 ".rtn scale must be finite and >= 0");
+              }
             } else if (key == "seed") {
-              request.seed = static_cast<std::uint64_t>(
-                  parse_spice_value(value));
+              // Parsed as an exact integer: a double cannot hold every
+              // 64-bit seed, and converting one out of range is undefined.
+              const char* end = value.data() + value.size();
+              const auto [stop, error] =
+                  std::from_chars(value.data(), end, card.seed);
+              if (error != std::errc() || stop != end) {
+                throw ParseError(line.number, ".rtn seed must be an integer "
+                                              "in [0, 2^64)");
+              }
             } else {
               throw ParseError(line.number, "unknown .rtn parameter '" + key + "'");
             }
           }
-          result.rtn_requests.push_back(std::move(request));
+          result.rtn_requests.push_back(std::move(card));
           break;
         }
         if (head == ".print" || head == ".probe") {

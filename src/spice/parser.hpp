@@ -23,6 +23,7 @@
 // Values accept engineering suffixes (f p n u m k meg g t).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -45,13 +46,21 @@ class ParseError : public std::runtime_error {
   std::size_t line_;
 };
 
+/// One `.rtn` card (`.rtn M1 scale=30 seed=7`); run_netlist_rtn turns it
+/// into RtnRequest::seeded(device, scale, seed).
+struct RtnCard {
+  std::string device;
+  double scale = 1.0;      ///< finite, >= 0
+  std::uint64_t seed = 1;
+};
+
 struct ParsedNetlist {
   std::string title;
   std::unique_ptr<Circuit> circuit;
   bool has_tran = false;
   TransientOptions tran;                ///< t_stop/dt from .tran, nodesets
   std::vector<std::string> print_nodes; ///< from .print v(...) cards
-  std::vector<RtnRequest> rtn_requests; ///< from .rtn cards
+  std::vector<RtnCard> rtn_requests;    ///< from .rtn cards, one per MOSFET
 };
 
 /// Parse a netlist. Throws ParseError on malformed input.

@@ -272,25 +272,19 @@ ColumnRtnResult run_column_rtn(const ColumnConfig& config, std::uint64_t seed,
   std::vector<spice::RtnRequest> requests;
   for (std::size_t i = 0; i < config.num_cells; ++i) {
     for (int m = 1; m <= 6; ++m) {
-      spice::RtnRequest request;
-      request.device = cell_prefix(i) + "M" + std::to_string(m);
-      request.scale = rtn_scale;
-      request.seed = seed + 1000 * i + static_cast<std::uint64_t>(m);
-      requests.push_back(std::move(request));
+      requests.push_back(spice::RtnRequest::seeded(
+          cell_prefix(i) + "M" + std::to_string(m), rtn_scale,
+          seed + 1000 * i + static_cast<std::uint64_t>(m)));
     }
   }
 
   ColumnRtnResult result;
-  ColumnBuild build;  // filled by the first factory invocation
-  bool first = true;
+  // Node names for detection (its device pointers die with the circuits).
+  ColumnBuild build;
   result.rtn = spice::run_rtn_transient(
-      [&config, &build, &first] {
+      [&config, &build] {
         auto circuit = std::make_unique<spice::Circuit>();
-        auto this_build = build_column(*circuit, config);
-        if (first) {
-          build = std::move(this_build);
-          first = false;
-        }
+        build = build_column(*circuit, config);
         return circuit;
       },
       options, requests);

@@ -8,6 +8,9 @@
 //   3. re-simulate the cell with each I_RTN injected as a drain-source
 //      current source opposing the nominal channel current (Fig. 4 right);
 //   4. detect write errors / slow-down on both runs.
+//
+// Steps 1-3 run through the shared two-pass driver,
+// spice::run_rtn_transient.
 #pragma once
 
 #include <array>
@@ -24,6 +27,7 @@
 #include "physics/trap_profile.hpp"
 #include "spice/analysis.hpp"
 #include "spice/batch.hpp"
+#include "spice/rtn_integration.hpp"
 #include "sram/cell.hpp"
 #include "sram/detector.hpp"
 #include "sram/pattern.hpp"
@@ -50,16 +54,8 @@ struct MethodologyConfig {
   core::UniformisationOptions uniformisation;
 };
 
-/// Per-transistor SAMURAI outputs (phase 2).
-struct TransistorRtn {
-  std::string name;               ///< "M1".."M6"
-  std::vector<physics::Trap> traps;
-  core::Pwl v_gs;                 ///< extracted bias (magnitude for PMOS)
-  core::Pwl i_d;                  ///< nominal channel current magnitude
-  core::StepTrace n_filled;       ///< trap occupancy (Fig. 8 (b),(c))
-  core::Pwl i_rtn;                ///< Eq. 3 trace (Fig. 8 (d)), signed
-  core::UniformisationStats stats;
-};
+/// Per-transistor SAMURAI outputs (phase 2), named "M1".."M6".
+using TransistorRtn = spice::DeviceRtnTrace;
 
 struct MethodologyResult {
   PatternWaveforms pattern;
@@ -107,13 +103,5 @@ struct NominalBatchRun {
 /// integration error only (the step plan is the deterministic fixed grid).
 NominalBatchRun run_nominal_batch(std::span<const MethodologyConfig> configs,
                                   spice::BatchWorkspace& workspace);
-
-/// Extract transistor bias waveforms from a transient solution.
-/// For NMOS, V_gs(t) = V(gate) - min(V(d), V(s)); for PMOS the magnitude
-/// of the overdrive against the higher terminal. I_d is the channel
-/// current magnitude from the DC model at the extracted bias.
-void extract_bias(const spice::TransientResult& result,
-                  const spice::Circuit& circuit, const spice::Mosfet& mosfet,
-                  core::Pwl& v_gs, core::Pwl& i_d);
 
 }  // namespace samurai::sram

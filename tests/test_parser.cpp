@@ -193,6 +193,29 @@ M1 d g 0 0 nfet W=200n L=90n
   EXPECT_THROW(parse_netlist("t\nR1 a 0 1k\n.rtn M9\n.end\n"), ParseError);
   EXPECT_THROW(parse_netlist("t\nR1 a 0 1k\n.rtn R1 bogus=1\n.end\n"),
                ParseError);
+  // Seeds are exact non-negative integers that fit in 64 bits.
+  const std::string fet = "t\nM1 d g 0 0 nfet W=200n L=90n\n"
+                          ".model nfet nmos node=90nm\n";
+  for (const char* seed : {"-1", "1e30", "2.5", "18446744073709551616"}) {
+    EXPECT_THROW(parse_netlist(fet + ".rtn M1 seed=" + seed + "\n.end\n"),
+                 ParseError)
+        << "seed=" << seed;
+  }
+  EXPECT_EQ(parse_netlist(fet + ".rtn M1 seed=18446744073709551615\n.end\n")
+                .rtn_requests[0]
+                .seed,
+            18446744073709551615u);
+  // Amplitude scales must be finite and non-negative.
+  for (const char* scale : {"-1", "inf", "nan"}) {
+    EXPECT_THROW(parse_netlist(fet + ".rtn M1 scale=" + scale + "\n.end\n"),
+                 ParseError)
+        << "scale=" << scale;
+  }
+  // A second card for the same MOSFET would inject a second identical
+  // trace under a second source of the same name.
+  EXPECT_THROW(
+      parse_netlist(fet + ".rtn M1 scale=30\n.rtn M1 scale=30\n.end\n"),
+      ParseError);
 }
 
 TEST(RtnIntegration, NetlistRtnFlowProducesTraces) {
