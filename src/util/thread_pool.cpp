@@ -107,8 +107,11 @@ struct ThreadPool::Impl {
         slot = taken + 1;
       }
       run_participant(*current, slot);
+      // Decrement under done_mutex: the caller tests `active` under the
+      // same mutex, so it cannot see zero, return and destroy the Job
+      // while this worker is still about to notify its condition variable.
+      std::lock_guard<std::mutex> lock(current->done_mutex);
       if (current->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(current->done_mutex);
         current->done_cv.notify_all();
       }
     }
