@@ -222,14 +222,14 @@ ModeReport bench_column(std::size_t cells, spice::SolverKind solver, int reps,
   return report;
 }
 
-// --- Activity-partitioned array section ------------------------------------
+// --- Array-scale section ------------------------------------------------------
 
-/// One activity mode on the shared-bitline column, reported as the two
+/// The shared-bitline column on one sparse ordering, reported as the two
 /// costs a user actually pays: `cold_ms` is a fresh-workspace run — it
-/// includes the symbolic analysis, which for the unpartitioned engine is
-/// the O(n^2) dense-discovery pass that dominates at 256 cells, and for
-/// the Schur fold is the grouped elimination that replaces it — and
-/// `steady_ms` is the warm best-of repetition cost with the analysis
+/// includes the symbolic analysis, which for the classic ordering is the
+/// O(n^2) dense-discovery pass that dominates at 256 cells, and for the
+/// cell-grouped ordering is the grouped elimination that replaces it —
+/// and `steady_ms` is the warm best-of repetition cost with the analysis
 /// amortised away.
 struct ArrayColumnMode {
   double cold_ms = 0.0;
@@ -239,21 +239,22 @@ struct ArrayColumnMode {
   spice::SolverStats stats;  ///< cold-run counters
 };
 
-ArrayColumnMode bench_array_column(std::size_t cells,
-                                   spice::ActivityMode mode, double tol,
-                                   int reps, int batches) {
+/// `grouped` = false clears the column's ordering groups (the classic
+/// whole-matrix ordering).
+ArrayColumnMode bench_array_column(std::size_t cells, bool grouped, int reps,
+                                   int batches) {
   const sram::ColumnConfig config = column_config(cells);
   spice::NewtonWorkspace workspace;
 
   auto run_once = [&] {
     spice::Circuit circuit;
     (void)sram::build_column(circuit, config);
+    if (!grouped) circuit.set_ordering_groups({});
     spice::TransientOptions options = sram::column_transient_options(config);
     options.solver = spice::SolverKind::kSparse;
     options.dt_initial = options.dt_max;
     options.lte_reltol = 1e9;
     options.lte_abstol = 1e9;
-    options.activity = sram::column_activity(circuit, config, mode, tol);
     return spice::transient(circuit, options, workspace);
   };
 
@@ -276,8 +277,8 @@ ArrayColumnMode bench_array_column(std::size_t cells,
 }
 
 /// Full R×C read+write transient with SAMURAI RTN injected into every
-/// cell, Schur-partitioned (the only engine that scales to 64×64: the
-/// classic symbolic analysis is O(n^2) and refuses n = 7RC + rails).
+/// cell through the plain run_array2d_rtn call: the unaddressed rows'
+/// ordering groups are what let the symbolic analysis scale to 64×64.
 struct ArrayRtnEntry {
   std::size_t rows = 0, cols = 0;
   double nominal_s = 0.0, generation_s = 0.0, injected_s = 0.0;
@@ -287,8 +288,7 @@ struct ArrayRtnEntry {
   spice::SolverStats stats;  ///< injected-transient counters
 };
 
-ArrayRtnEntry bench_array_rtn(std::size_t rows, std::size_t cols,
-                              spice::ActivityMode mode) {
+ArrayRtnEntry bench_array_rtn(std::size_t rows, std::size_t cols) {
   sram::Array2dConfig config;
   config.tech = physics::technology("90nm");
   config.rows = rows;
@@ -303,15 +303,8 @@ ArrayRtnEntry bench_array_rtn(std::size_t rows, std::size_t cols,
   for (std::size_t c = 0; c < cols; ++c) word[c] = static_cast<int>(c % 2);
   config.ops = {sram::ArrayOp::write(0, word), sram::ArrayOp::read(0)};
 
-  // The partition is stored by device name / node id, both deterministic
-  // across identical builds, so one partition serves both RTN passes.
-  spice::Circuit probe;
-  (void)sram::build_array2d(probe, config);
-  const auto partition = sram::array2d_activity(probe, config, mode, 1e-4);
-
-  const auto run = sram::run_array2d_rtn(
-      config, /*seed=*/97, /*rtn_scale=*/1.0,
-      mode == spice::ActivityMode::kOff ? nullptr : &partition);
+  const auto run =
+      sram::run_array2d_rtn(config, /*seed=*/97, /*rtn_scale=*/1.0);
 
   ArrayRtnEntry entry;
   entry.rows = rows;
@@ -335,9 +328,7 @@ void print_stats_json(const char* key, const ModeReport& r) {
       "\"linear_cache_hits\": %llu, \"steps_accepted\": %llu, "
       "\"steps_rejected\": %llu, \"workspace_allocations\": %llu, "
       "\"sp_symbolic_analyses\": %llu, \"sp_numeric_refactors\": %llu, "
-      "\"sp_solves\": %llu, \"ap_elided_loads\": %llu, "
-      "\"ap_partial_refactors\": %llu, \"ap_rows_skipped\": %llu, "
-      "\"ap_folded_cells\": %llu}",
+      "\"sp_solves\": %llu}",
       key, r.ms_per_run, r.points,
       static_cast<unsigned long long>(r.stats.newton_iterations),
       static_cast<unsigned long long>(r.stats.lu_factorizations),
@@ -350,27 +341,18 @@ void print_stats_json(const char* key, const ModeReport& r) {
       static_cast<unsigned long long>(r.stats.workspace_allocations),
       static_cast<unsigned long long>(r.stats.sp_symbolic_analyses),
       static_cast<unsigned long long>(r.stats.sp_numeric_refactors),
-      static_cast<unsigned long long>(r.stats.sp_solves),
-      static_cast<unsigned long long>(r.stats.ap_elided_loads),
-      static_cast<unsigned long long>(r.stats.ap_partial_refactors),
-      static_cast<unsigned long long>(r.stats.ap_rows_skipped),
-      static_cast<unsigned long long>(r.stats.ap_folded_cells));
+      static_cast<unsigned long long>(r.stats.sp_solves));
 }
 
 void print_array_column_json(const char* key, const ArrayColumnMode& m) {
   std::printf(
       "\"%s\": {\"cold_ms\": %.2f, \"steady_ms\": %.3f, \"points\": %zu, "
       "\"lu_fill_nnz\": %zu, \"newton_iterations\": %llu, "
-      "\"sp_numeric_refactors\": %llu, \"ap_elided_loads\": %llu, "
-      "\"ap_partial_refactors\": %llu, \"ap_rows_skipped\": %llu, "
-      "\"ap_folded_cells\": %llu}",
+      "\"sp_symbolic_analyses\": %llu, \"sp_numeric_refactors\": %llu}",
       key, m.cold_ms, m.steady_ms, m.points, m.fill,
       static_cast<unsigned long long>(m.stats.newton_iterations),
-      static_cast<unsigned long long>(m.stats.sp_numeric_refactors),
-      static_cast<unsigned long long>(m.stats.ap_elided_loads),
-      static_cast<unsigned long long>(m.stats.ap_partial_refactors),
-      static_cast<unsigned long long>(m.stats.ap_rows_skipped),
-      static_cast<unsigned long long>(m.stats.ap_folded_cells));
+      static_cast<unsigned long long>(m.stats.sp_symbolic_analyses),
+      static_cast<unsigned long long>(m.stats.sp_numeric_refactors));
 }
 
 }  // namespace
@@ -378,10 +360,8 @@ void print_array_column_json(const char* key, const ArrayColumnMode& m) {
 void usage() {
   std::fprintf(stderr,
                "usage: bench_spice_transient [--quick] [--reps N] "
-               "[--coupled-reps N] [--rows R] [--cols C] "
-               "[--activity off|elide|schur]\n"
-               "  --rows/--cols size the RTN array section (positive); "
-               "--activity picks its partition mode\n");
+               "[--coupled-reps N] [--rows R] [--cols C]\n"
+               "  --rows/--cols size the RTN array section (positive)\n");
 }
 
 int main(int argc, char** argv) {
@@ -391,7 +371,6 @@ int main(int argc, char** argv) {
   int coupled_reps = 0;
   std::size_t array_rows = 0;
   std::size_t array_cols = 0;
-  spice::ActivityMode array_mode = spice::ActivityMode::kSchur;
   try {
     reps = static_cast<int>(cli.get_count("reps", quick ? 20 : 200));
     coupled_reps =
@@ -400,20 +379,8 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(cli.get_count("rows", quick ? 16 : 64));
     array_cols =
         static_cast<std::size_t>(cli.get_count("cols", quick ? 16 : 64));
-    array_mode = spice::activity_mode_from_string(
-        cli.get_string("activity", "schur"));
   } catch (const std::invalid_argument& err) {
     std::fprintf(stderr, "bench_spice_transient: %s\n", err.what());
-    usage();
-    return 2;
-  }
-  if (array_mode != spice::ActivityMode::kSchur &&
-      array_rows * array_cols > 512) {
-    std::fprintf(stderr,
-                 "bench_spice_transient: --activity %s refuses arrays over "
-                 "512 cells (without the Schur fold the symbolic analysis "
-                 "runs the O(n^2) classic discovery; use schur)\n",
-                 spice::activity_mode_to_string(array_mode).c_str());
     usage();
     return 2;
   }
@@ -482,41 +449,32 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // --- Activity-partitioned full-array engine -----------------------------
-  // 256-cell column (64 in quick mode), all three activity modes on the
-  // same fixed grid. Tolerance 1e-4: tight enough that the waveforms stay
-  // within sense accuracy, loose enough that quiescent devices do not
-  // chatter across the replay-ball boundary (see DESIGN.md §15).
+  // --- Cell-grouped ordering at array scale ------------------------------
+  // 256-cell column (64 in quick mode) as built — every cell but the two
+  // addressed ones grouped — and with its groups cleared, on the same
+  // fixed grid.
   const std::size_t ap_cells = quick ? 64 : 256;
-  const double ap_tol = 1e-4;
   const int ap_reps = quick ? 2 : 3;
   const int ap_batches = quick ? 1 : 2;
-  const ArrayColumnMode ap_off = bench_array_column(
-      ap_cells, spice::ActivityMode::kOff, 0.0, ap_reps, ap_batches);
-  const ArrayColumnMode ap_elide = bench_array_column(
-      ap_cells, spice::ActivityMode::kElide, ap_tol, ap_reps, ap_batches);
-  const ArrayColumnMode ap_schur = bench_array_column(
-      ap_cells, spice::ActivityMode::kSchur, ap_tol, ap_reps, ap_batches);
-  const double ap_cold_speedup = ap_off.cold_ms / ap_schur.cold_ms;
-  const double ap_steady_speedup = ap_off.steady_ms / ap_elide.steady_ms;
-  std::printf("column N=%zu activity: off cold %.0f ms / steady %.1f ms, "
-              "elide cold %.0f / steady %.1f, schur cold %.0f / steady %.1f\n"
-              "  -> schur cold speedup %.1fx (grouped vs classic symbolic "
-              "analysis), elide steady speedup %.2fx\n",
-              ap_cells, ap_off.cold_ms, ap_off.steady_ms, ap_elide.cold_ms,
-              ap_elide.steady_ms, ap_schur.cold_ms, ap_schur.steady_ms,
-              ap_cold_speedup, ap_steady_speedup);
+  const ArrayColumnMode ap_ungrouped =
+      bench_array_column(ap_cells, /*grouped=*/false, ap_reps, ap_batches);
+  const ArrayColumnMode ap_grouped =
+      bench_array_column(ap_cells, /*grouped=*/true, ap_reps, ap_batches);
+  const double ap_cold_speedup = ap_ungrouped.cold_ms / ap_grouped.cold_ms;
+  std::printf("column N=%zu ordering: groups cleared cold %.0f ms / steady "
+              "%.1f ms, as built cold %.0f / steady %.1f\n"
+              "  -> cold speedup %.1fx (grouped vs classic symbolic "
+              "analysis)\n",
+              ap_cells, ap_ungrouped.cold_ms, ap_ungrouped.steady_ms,
+              ap_grouped.cold_ms, ap_grouped.steady_ms, ap_cold_speedup);
 
-  // Full R×C array with per-cell RTN: the tentpole workload.
-  const ArrayRtnEntry rtn = bench_array_rtn(array_rows, array_cols,
-                                            array_mode);
-  std::printf("array %zux%zu (%s) with RTN in all %zu cells: nominal %.2f s, "
+  // Full R×C array with per-cell RTN.
+  const ArrayRtnEntry rtn = bench_array_rtn(array_rows, array_cols);
+  std::printf("array %zux%zu with RTN in all %zu cells: nominal %.2f s, "
               "generation %.2f s, injected %.2f s; worst column margin "
               "%.3f V\n\n",
-              rtn.rows, rtn.cols,
-              spice::activity_mode_to_string(array_mode).c_str(), rtn.traces,
-              rtn.nominal_s, rtn.generation_s, rtn.injected_s,
-              rtn.min_margin);
+              rtn.rows, rtn.cols, rtn.traces, rtn.nominal_s,
+              rtn.generation_s, rtn.injected_s, rtn.min_margin);
 
   std::printf("{\"bench\": \"spice_transient\", \"quick\": %s, "
               "\"write6t\": {\"speedup\": %.3f, ",
@@ -553,30 +511,23 @@ int main(int argc, char** argv) {
     std::printf("}");
   }
   std::printf("], \"arrays\": {\"column\": {\"cells\": %zu, "
-              "\"tolerance\": %.0e, \"cold_speedup_schur\": %.2f, "
-              "\"steady_speedup_elide\": %.3f, ",
-              ap_cells, ap_tol, ap_cold_speedup, ap_steady_speedup);
-  print_array_column_json("off", ap_off);
+              "\"cold_speedup_grouped\": %.2f, ",
+              ap_cells, ap_cold_speedup);
+  print_array_column_json("ungrouped", ap_ungrouped);
   std::printf(", ");
-  print_array_column_json("elide", ap_elide);
-  std::printf(", ");
-  print_array_column_json("schur", ap_schur);
+  print_array_column_json("grouped", ap_grouped);
   std::printf("}, \"array2d\": {\"rows\": %zu, \"cols\": %zu, "
-              "\"activity\": \"%s\", \"traces\": %zu, "
+              "\"traces\": %zu, "
               "\"nominal_seconds\": %.3f, \"generation_seconds\": %.3f, "
               "\"injected_seconds\": %.3f, \"nominal_ok\": %s, "
               "\"rtn_ok\": %s, \"min_sense_margin\": %.4f, "
-              "\"newton_iterations\": %llu, \"ap_elided_loads\": %llu, "
-              "\"ap_rows_skipped\": %llu, \"ap_folded_cells\": %llu}}}\n",
-              rtn.rows, rtn.cols,
-              spice::activity_mode_to_string(array_mode).c_str(), rtn.traces,
+              "\"newton_iterations\": %llu, \"steps_rejected\": %llu}}}\n",
+              rtn.rows, rtn.cols, rtn.traces,
               rtn.nominal_s, rtn.generation_s, rtn.injected_s,
               rtn.nominal_ok ? "true" : "false", rtn.rtn_ok ? "true" : "false",
               rtn.min_margin,
               static_cast<unsigned long long>(rtn.stats.newton_iterations),
-              static_cast<unsigned long long>(rtn.stats.ap_elided_loads),
-              static_cast<unsigned long long>(rtn.stats.ap_rows_skipped),
-              static_cast<unsigned long long>(rtn.stats.ap_folded_cells));
+              static_cast<unsigned long long>(rtn.stats.steps_rejected));
 
   // Contract checks (these make the ctest registration meaningful).
   // 1. The steady-state repetition loop must be allocation-free.
@@ -671,45 +622,26 @@ int main(int argc, char** argv) {
                 c_speedup);
     return 1;
   }
-  // 6. Activity-partitioned column: all three modes solve the same fixed
-  //    grid, the Schur fold's grouped symbolic analysis must beat the
-  //    classic dense-discovery pass by 5x end-to-end on a cold start, and
-  //    quiescent-cell elision must not lose to the unpartitioned engine in
-  //    steady state. The cold gate is the ISSUE's ">=5x over the PR 5
-  //    sparse baseline" claim: the baseline's first contact with a 256-cell
-  //    pattern pays the O(n^2) analysis the partition removes.
-  if (ap_off.points != ap_elide.points || ap_off.points != ap_schur.points) {
-    std::printf("\nFAIL: activity modes accepted different step counts "
-                "(%zu / %zu / %zu)\n",
-                ap_off.points, ap_elide.points, ap_schur.points);
+  // 6. Cell-grouped ordering on the column: both orderings solve the same
+  //    fixed grid, and the grouped symbolic analysis must beat the classic
+  //    dense-discovery pass by 5x end to end on a cold start — the first
+  //    contact with a 256-cell pattern pays the O(n^2) analysis the
+  //    groups remove.
+  if (ap_ungrouped.points != ap_grouped.points) {
+    std::printf("\nFAIL: orderings accepted different step counts "
+                "(%zu / %zu)\n",
+                ap_ungrouped.points, ap_grouped.points);
     return 1;
   }
   const double ap_cold_floor = quick ? 1.5 : 5.0;
   if (ap_cold_speedup < ap_cold_floor) {
-    std::printf("\nFAIL: %zu-cell column schur cold speedup %.2fx < %.1fx\n",
+    std::printf("\nFAIL: %zu-cell column grouped cold speedup %.2fx < "
+                "%.1fx\n",
                 ap_cells, ap_cold_speedup, ap_cold_floor);
     return 1;
   }
-  if (!quick && ap_steady_speedup < 1.0) {
-    std::printf("\nFAIL: %zu-cell column elide steady speedup %.2fx < 1.0x\n",
-                ap_cells, ap_steady_speedup);
-    return 1;
-  }
-  if (ap_elide.stats.ap_elided_loads == 0 ||
-      ap_schur.stats.ap_folded_cells == 0 ||
-      ap_schur.stats.ap_rows_skipped == 0) {
-    std::printf("\nFAIL: activity counters flat (elided %llu, folded %llu, "
-                "rows skipped %llu)\n",
-                static_cast<unsigned long long>(
-                    ap_elide.stats.ap_elided_loads),
-                static_cast<unsigned long long>(
-                    ap_schur.stats.ap_folded_cells),
-                static_cast<unsigned long long>(
-                    ap_schur.stats.ap_rows_skipped));
-    return 1;
-  }
   // 7. The full-array RTN transient: both passes must sense correctly and
-  //    the injected (partitioned) solve must land in single-digit seconds.
+  //    the injected solve must land in single-digit seconds.
   if (!rtn.nominal_ok || !rtn.rtn_ok || rtn.traces != rtn.rows * rtn.cols) {
     std::printf("\nFAIL: array RTN run errored (nominal %d, rtn %d, "
                 "traces %zu of %zu)\n",

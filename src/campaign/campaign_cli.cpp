@@ -11,10 +11,9 @@
 // (--kind importance|array-yield|vmin, --samples, --shard, --batch,
 // --seed, --threads, --target-rhw, --min-samples, --node, --vdd, --bits,
 // --scale, --sigma-vt, --shift, --rtn-seeds, --v-lo, --v-hi,
-// --resolution, --nominal-only, --slow-as-fail, --name, --rows, --cols,
-// --activity off|elide|schur). --rows/--cols pin the array-yield cell
-// population to an R×C footprint; non-positive values and unknown
-// activity modes are rejected with usage (exit 2). --batch K > 1
+// --resolution, --nominal-only, --slow-as-fail, --name, --rows, --cols).
+// --rows/--cols pin the array-yield cell population to an R×C footprint;
+// non-positive values are rejected with usage (exit 2). --batch K > 1
 // runs nominal-only importance samples through the lock-step batched
 // transient engine, K lanes at a time (requires --nominal-only). Without --dir the campaign runs
 // in memory (no checkpoint, no resume). Every subcommand ends with one
@@ -46,8 +45,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: samurai_campaign run    --dir DIR [--manifest FILE | "
                "--kind importance|array-yield|vmin --samples N --shard S\n"
-               "                               [--rows R --cols C] "
-               "[--activity off|elide|schur] ...]\n"
+               "                               [--rows R --cols C] ...]\n"
                "       samurai_campaign resume --dir DIR [--max-shards K]\n"
                "       samurai_campaign status --dir DIR\n"
                "       samurai_campaign init   --dir DIR [--manifest FILE | "
@@ -97,15 +95,13 @@ campaign::Manifest manifest_from_flags(const util::Cli& cli) {
   manifest.rtn_seeds =
       static_cast<std::uint64_t>(cli.get_int("rtn-seeds", 1));
   // --rows/--cols pin the array-yield cell population to an R×C footprint;
-  // get_count rejects non-positive values loudly. --activity is validated
-  // by Manifest::validate() (off | elide | schur).
+  // get_count rejects non-positive values loudly.
   if (cli.has("rows")) {
     manifest.rows = static_cast<std::uint64_t>(cli.get_count("rows", 1));
   }
   if (cli.has("cols")) {
     manifest.cols = static_cast<std::uint64_t>(cli.get_count("cols", 1));
   }
-  manifest.activity = cli.get_string("activity", manifest.activity);
   return manifest;
 }
 

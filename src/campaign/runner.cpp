@@ -203,10 +203,6 @@ void CampaignResult::write_fields(JsonWriter& json) const {
   json.add_u64("bt_batches", solver.bt_batches);
   json.add_u64("bt_lanes", solver.bt_lanes);
   json.add_u64("bt_steps", solver.bt_steps);
-  json.add_u64("ap_elided_loads", solver.ap_elided_loads);
-  json.add_u64("ap_partial_refactors", solver.ap_partial_refactors);
-  json.add_u64("ap_rows_skipped", solver.ap_rows_skipped);
-  json.add_u64("ap_folded_cells", solver.ap_folded_cells);
   json.add_u64("rtn_candidates", rtn.candidates);
   json.add_u64("rtn_accepted", rtn.accepted);
   json.add_u64("rtn_segments", rtn.segments);

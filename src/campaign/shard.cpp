@@ -232,10 +232,6 @@ std::string ShardResult::to_json() const {
   json.add_u64("bt_batches", solver.bt_batches);
   json.add_u64("bt_lanes", solver.bt_lanes);
   json.add_u64("bt_steps", solver.bt_steps);
-  json.add_u64("ap_elided_loads", solver.ap_elided_loads);
-  json.add_u64("ap_partial_refactors", solver.ap_partial_refactors);
-  json.add_u64("ap_rows_skipped", solver.ap_rows_skipped);
-  json.add_u64("ap_folded_cells", solver.ap_folded_cells);
   json.add_u64("rtn_candidates", rtn.candidates);
   json.add_u64("rtn_accepted", rtn.accepted);
   json.add_u64("rtn_segments", rtn.segments);
@@ -290,13 +286,6 @@ ShardResult ShardResult::from_json(const std::string& line) {
   result.solver.bt_batches = json.get_u64("bt_batches", 0);
   result.solver.bt_lanes = json.get_u64("bt_lanes", 0);
   result.solver.bt_steps = json.get_u64("bt_steps", 0);
-  // Activity-partition counters default to zero so unpartitioned-era
-  // ledgers still parse (their partitioned share really is zero).
-  result.solver.ap_elided_loads = json.get_u64("ap_elided_loads", 0);
-  result.solver.ap_partial_refactors =
-      json.get_u64("ap_partial_refactors", 0);
-  result.solver.ap_rows_skipped = json.get_u64("ap_rows_skipped", 0);
-  result.solver.ap_folded_cells = json.get_u64("ap_folded_cells", 0);
   // Sampler counters default to zero so pre-counter ledgers still parse.
   result.rtn.candidates = json.get_u64("rtn_candidates", 0);
   result.rtn.accepted = json.get_u64("rtn_accepted", 0);

@@ -5,15 +5,11 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
-#include <unordered_set>
 
 #include "spice/newton_driver.hpp"
 #include "util/grid.hpp"
 
 namespace samurai::spice {
-
-
 
 // ------------------------------------------------------------ SolverStats
 
@@ -33,11 +29,7 @@ namespace samurai::spice {
   X(sp_solves)                        \
   X(bt_batches)                       \
   X(bt_lanes)                         \
-  X(bt_steps)                         \
-  X(ap_elided_loads)                  \
-  X(ap_partial_refactors)             \
-  X(ap_rows_skipped)                  \
-  X(ap_folded_cells)
+  X(bt_steps)
 
 void SolverStats::merge(const SolverStats& other) {
 #define X(field) field += other.field;
@@ -77,25 +69,6 @@ SolverStats solver_stats_snapshot() {
   return stats;
 }
 
-// ------------------------------------------------------------ ActivityMode
-
-ActivityMode activity_mode_from_string(const std::string& text) {
-  if (text == "off") return ActivityMode::kOff;
-  if (text == "elide") return ActivityMode::kElide;
-  if (text == "schur") return ActivityMode::kSchur;
-  throw std::invalid_argument("unknown activity mode '" + text +
-                              "' (expected off|elide|schur)");
-}
-
-std::string activity_mode_to_string(ActivityMode mode) {
-  switch (mode) {
-    case ActivityMode::kOff: return "off";
-    case ActivityMode::kElide: return "elide";
-    case ActivityMode::kSchur: return "schur";
-  }
-  return "off";
-}
-
 namespace detail {
 void solver_stats_accumulate(const SolverStats& stats) {
   auto& global = global_solver_stats();
@@ -108,8 +81,7 @@ void solver_stats_accumulate(const SolverStats& stats) {
 
 // -------------------------------------------------------- NewtonWorkspace
 
-void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver,
-                             const ActivityPartition* activity) {
+void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver) {
   circuit_ = &circuit;
   const std::size_t n = circuit.system_size();
   const bool resized = n != n_;
@@ -138,17 +110,8 @@ void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver,
   bypass_good_ = 0;
   bypass_bad_ = 0;
 
-  ap_mode_ = activity ? activity->mode : ActivityMode::kOff;
-  ap_tol_ = activity ? activity->tolerance : 0.0;
-  ap_floors_valid_ = false;
-  ap_dirty_min_ = 0;
-
-  // Activity partitioning rides the sparse engine exclusively: elision
-  // replays stamp programs through resolved slots, and the Schur fold is
-  // an ordering of the sparse factorization.
   use_sparse_ = solver == SolverKind::kSparse ||
-                (solver == SolverKind::kAuto && n >= kSparseAutoThreshold) ||
-                ap_mode_ != ActivityMode::kOff;
+                (solver == SolverKind::kAuto && n >= kSparseAutoThreshold);
   if (!use_sparse_) {
     // Dense buffers are sized lazily so a sparse-only workspace never
     // pays the O(n²) allocations. A same-size engine switch still counts
@@ -183,16 +146,7 @@ void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver,
   sp_lin_dc_count_ = sp_coords_.size() - sp_lin_tr_count_;
   record_ctx.a0 = 1.0;
   record_ctx.scope = LoadScope::kNonlinear;
-  const std::size_t nl_base = sp_coords_.size();
-  ap_prog_begin_.clear();
-  ap_prog_end_.clear();
-  ap_prog_begin_.reserve(nonlinear_devices_.size());
-  ap_prog_end_.reserve(nonlinear_devices_.size());
-  for (Device* device : nonlinear_devices_) {
-    ap_prog_begin_.push_back(sp_coords_.size() - nl_base);
-    device->load(record_ctx);
-    ap_prog_end_.push_back(sp_coords_.size() - nl_base);
-  }
+  for (Device* device : nonlinear_devices_) device->load(record_ctx);
   sp_nl_count_ = sp_coords_.size() - sp_lin_tr_count_ - sp_lin_dc_count_;
 
   // Pattern = union of all programs + full diagonal, shared by the base
@@ -235,47 +189,9 @@ void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver,
   }
   std::fill(base_res_.begin(), base_res_.end(), 0.0);
 
-  // Activity-partition caches: resolve the quiescent-device names against
-  // this circuit's nonlinear devices and size the elision state. In kSchur
-  // mode the ordering groups go to the sparse LU (set_ordering_groups is a
-  // no-op when unchanged, so Monte-Carlo re-attaches keep the analysis).
-  if (ap_mode_ != ActivityMode::kOff) {
-    std::unordered_set<std::string_view> quiescent;
-    quiescent.reserve(activity->quiescent_devices.size());
-    for (const auto& name : activity->quiescent_devices) {
-      quiescent.insert(name);
-    }
-    const std::size_t count = nonlinear_devices_.size();
-    ap_elidable_.assign(count, 0);
-    ap_input_begin_.assign(count + 1, 0);
-    ap_input_nodes_.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      Device* device = nonlinear_devices_[i];
-      if (quiescent.count(device->name()) != 0) {
-        const auto inputs = device->nonlinear_inputs();
-        if (!inputs.empty()) {
-          ap_elidable_[i] = 1;
-          for (const int id : inputs) {
-            if (id >= 0) ap_input_nodes_.push_back(id);
-          }
-        }
-      }
-      ap_input_begin_[i + 1] = ap_input_nodes_.size();
-    }
-    ap_key_.assign(ap_input_nodes_.size(), 0.0);
-    ap_res_cache_.assign(ap_input_nodes_.size(), 0.0);
-    ap_jac_cache_.assign(sp_nl_count_, 0.0);
-    ap_valid_.assign(count, 0);
-    ap_scratch_res_.assign(n, 0.0);
-    if (ap_mode_ == ActivityMode::kSchur) {
-      sp_lu_.set_ordering_groups(activity->groups);
-      stats_.ap_folded_cells += activity->groups.size();
-    } else {
-      sp_lu_.set_ordering_groups({});
-    }
-  } else {
-    sp_lu_.set_ordering_groups({});
-  }
+  // Cell-grouped ordering (a no-op when unchanged, so Monte-Carlo
+  // re-attaches keep the analysis).
+  sp_lu_.set_ordering_groups(circuit.ordering_groups());
 }
 
 namespace detail {
@@ -352,9 +268,6 @@ void NewtonDriver::prepare_base(NewtonWorkspace& ws, double time, double a0,
     ws.base_ci_ = ci;
     ws.base_gmin_ = gmin;
     ws.base_had_pins_ = !pins.empty();
-    // A rebuilt base (new a0/gmin/pins) rewrites linear values across the
-    // whole matrix: every factor row is potentially dirty.
-    ws.ap_dirty_min_ = 0;
   }
   // Pin residual offset: 1 S · (x - value) has constant part -value.
   for (const auto& [node, value] : pins) {
@@ -418,115 +331,6 @@ LoadContext NewtonDriver::nonlinear_context(NewtonWorkspace& ws,
   return ctx;
 }
 
-void NewtonDriver::stamp_nonlinear_partitioned(NewtonWorkspace& ws,
-                                               std::span<const double> x,
-                                               LoadContext& ctx) {
-  SolverStats& st = ws.stats_;
-  std::size_t loads = 0;
-  bool static_dirty = false;
-  const std::size_t count = ws.nonlinear_devices_.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    Device* device = ws.nonlinear_devices_[i];
-    const std::size_t pb = ws.ap_prog_begin_[i];
-    const std::size_t pe = ws.ap_prog_end_[i];
-    if (ws.ap_elidable_[i]) {
-      const std::size_t ib = ws.ap_input_begin_[i];
-      const std::size_t ie = ws.ap_input_begin_[i + 1];
-      // Replay only if every input voltage is within tolerance of the
-      // cached evaluation point. tolerance == 0 demands bitwise-equal
-      // inputs (the !(diff <= 0) form also rejects NaN), which is what
-      // makes the elided solve bit-identical to the unpartitioned one.
-      bool replay = ws.ap_valid_[i] != 0;
-      for (std::size_t k = ib; replay && k < ie; ++k) {
-        const double v = x[static_cast<std::size_t>(ws.ap_input_nodes_[k])];
-        if (!(std::abs(v - ws.ap_key_[k]) <= ws.ap_tol_)) replay = false;
-      }
-      if (replay) {
-        ++st.ap_elided_loads;
-        for (std::size_t k = pb; k < pe; ++k) {
-          *ws.sp_nl_slots_[k] += ws.ap_jac_cache_[k];
-        }
-        for (std::size_t k = ib; k < ie; ++k) {
-          ws.residual_[static_cast<std::size_t>(ws.ap_input_nodes_[k])] +=
-              ws.ap_res_cache_[k];
-        }
-        continue;
-      }
-      // Real evaluation with capture: Jacobian adds are mirrored into
-      // ap_jac_cache_ by the sink; the residual adds land in the zeroed
-      // scratch vector (one add per input node by the nonlinear_inputs
-      // contract), are recorded, then applied to the true residual with
-      // the same `+=` the direct path would have executed.
-      for (std::size_t k = ib; k < ie; ++k) {
-        ws.ap_key_[k] = x[static_cast<std::size_t>(ws.ap_input_nodes_[k])];
-      }
-      ws.sp_sink_.bind_slots_capture(ws.sp_nl_slots_.data() + pb, pe - pb,
-                                     ws.ap_jac_cache_.data() + pb);
-      ctx.residual = &ws.ap_scratch_res_;
-      device->load(ctx);
-      if (ws.sp_sink_.cursor() != pe - pb) {
-        throw std::logic_error(
-            "sparse solve: partitioned nonlinear stamp program desync");
-      }
-      for (std::size_t k = ib; k < ie; ++k) {
-        const auto node = static_cast<std::size_t>(ws.ap_input_nodes_[k]);
-        const double v = ws.ap_scratch_res_[node];
-        ws.ap_res_cache_[k] = v;
-        ws.residual_[node] += v;
-        ws.ap_scratch_res_[node] = 0.0;
-      }
-      ctx.residual = &ws.residual_;
-      ws.ap_valid_[i] = 1;
-      ++loads;
-      if (ws.ap_floors_valid_) {
-        ws.ap_dirty_min_ = std::min(ws.ap_dirty_min_, ws.ap_row_floor_[i]);
-      } else {
-        ws.ap_dirty_min_ = 0;
-      }
-    } else {
-      ws.sp_sink_.bind_slots(ws.sp_nl_slots_.data() + pb, pe - pb);
-      device->load(ctx);
-      if (ws.sp_sink_.cursor() != pe - pb) {
-        throw std::logic_error(
-            "sparse solve: partitioned nonlinear stamp program desync");
-      }
-      ++loads;
-      static_dirty = true;
-    }
-  }
-  st.device_loads += loads;
-  if (static_dirty) {
-    ws.ap_dirty_min_ = ws.ap_floors_valid_
-                           ? std::min(ws.ap_dirty_min_, ws.ap_static_floor_)
-                           : 0;
-  }
-}
-
-void NewtonDriver::recompute_ap_floors(NewtonWorkspace& ws) {
-  if (ws.ap_mode_ == ActivityMode::kOff) return;
-  const std::size_t n = ws.n_;
-  const std::size_t count = ws.nonlinear_devices_.size();
-  ws.ap_row_floor_.assign(count, n);
-  ws.ap_static_floor_ = n;
-  // Nonlinear stamp coordinates sit after the two linear programs in
-  // sp_coords_; translate each device's stamped rows through the fresh
-  // row permutation and keep the minimum.
-  const std::size_t offset = ws.sp_lin_tr_count_ + ws.sp_lin_dc_count_;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::size_t floor = n;
-    for (std::size_t k = ws.ap_prog_begin_[i]; k < ws.ap_prog_end_[i]; ++k) {
-      const auto row =
-          static_cast<std::size_t>(ws.sp_coords_[offset + k].first);
-      floor = std::min(floor, ws.sp_lu_.permuted_row(row));
-    }
-    ws.ap_row_floor_[i] = floor;
-    if (!ws.ap_elidable_[i]) {
-      ws.ap_static_floor_ = std::min(ws.ap_static_floor_, floor);
-    }
-  }
-  ws.ap_floors_valid_ = true;
-}
-
 IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
                                                std::vector<double>& x,
                                                const NewtonOptions& options,
@@ -585,30 +389,19 @@ IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
     if (sparse) {
       // The sparse engine reuses its symbolic analysis (pivot order +
       // fill pattern) and only redoes the O(fill-nnz) numeric sweep;
-      // was_analysis reports the rare full re-analyses. When the
-      // activity partition is on, rows above the dirty floor are
-      // bit-unchanged since the last successful factor, so the numeric
-      // sweep restarts mid-matrix (partial refactor).
-      const bool partitioned = ws.ap_mode_ != ActivityMode::kOff;
-      const std::size_t floor = partitioned ? ws.ap_dirty_min_ : 0;
+      // was_analysis reports the rare full re-analyses.
       bool was_analysis = false;
       if (!ws.sp_lu_.factor(ws.sp_jac_, ws.sp_jac_.value_max_abs(),
-                            &was_analysis, floor)) {
+                            &was_analysis)) {
         ws.lu_valid_ = false;
         result.singular = true;
         return result;
       }
       if (was_analysis) {
         ++st.sp_symbolic_analyses;
-        if (partitioned) recompute_ap_floors(ws);
       } else {
         ++st.sp_numeric_refactors;
-        if (partitioned && floor > 0) {
-          ++st.ap_partial_refactors;
-          st.ap_rows_skipped += floor;
-        }
       }
-      if (partitioned) ws.ap_dirty_min_ = n;
     } else {
       // Fused copy + scan: max|J| feeds lu_factor's scale-relative
       // pivot threshold without a second pass over the matrix.
@@ -678,15 +471,11 @@ NewtonOutcome NewtonDriver::solve(NewtonWorkspace& ws, std::vector<double>& x,
     ++st.newton_iterations;
 
     assemble_linear(ws, x);
-    LoadContext ctx = nonlinear_context(ws, x, time, a0, ci);
-    if (ws.use_sparse_ && ws.ap_mode_ != ActivityMode::kOff) {
-      stamp_nonlinear_partitioned(ws, x, ctx);
-    } else {
-      for (Device* device : ws.nonlinear_devices_) device->load(ctx);
-      st.device_loads += ws.nonlinear_devices_.size();
-      if (ws.use_sparse_ && ws.sp_sink_.cursor() != ws.sp_nl_count_) {
-        throw std::logic_error("sparse solve: nonlinear stamp program desync");
-      }
+    const LoadContext ctx = nonlinear_context(ws, x, time, a0, ci);
+    for (Device* device : ws.nonlinear_devices_) device->load(ctx);
+    st.device_loads += ws.nonlinear_devices_.size();
+    if (ws.use_sparse_ && ws.sp_sink_.cursor() != ws.sp_nl_count_) {
+      throw std::logic_error("sparse solve: nonlinear stamp program desync");
     }
 
     const IterationResult r = finish_iteration(ws, x, options, iter,
@@ -881,7 +670,7 @@ TransientResult NewtonDriver::run_transient(Circuit& circuit,
     throw std::invalid_argument("transient: t_stop <= t_start");
   }
   const SolverStats stats_before = ws.stats_;
-  ws.attach(circuit, options.solver, &options.activity);
+  ws.attach(circuit, options.solver);
   SolverStats& st = ws.stats_;
 
   const std::size_t nodes = circuit.num_nodes();

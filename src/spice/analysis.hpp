@@ -55,13 +55,6 @@ struct SolverStats {
   std::uint64_t bt_batches = 0;  ///< batched fixed-grid transient calls
   std::uint64_t bt_lanes = 0;    ///< Monte-Carlo lanes across those calls
   std::uint64_t bt_steps = 0;    ///< accepted steps summed over lanes
-  // Activity-partitioned engine ledger (zero with partitioning off).
-  // device_loads counts only *real* loads, so device_loads +
-  // ap_elided_loads is what an unpartitioned run would have paid.
-  std::uint64_t ap_elided_loads = 0;      ///< stamp replays instead of loads
-  std::uint64_t ap_partial_refactors = 0; ///< refactors with a nonzero floor
-  std::uint64_t ap_rows_skipped = 0;      ///< factor rows retained, summed
-  std::uint64_t ap_folded_cells = 0;      ///< Schur ordering groups attached
 
   void merge(const SolverStats& other);
   /// Counter-wise `this - other` (for before/after deltas).
@@ -92,42 +85,6 @@ enum class SolverKind { kAuto, kDense, kSparse };
 /// tolerance, so crossing it changes cost, never results.
 inline constexpr std::size_t kSparseAutoThreshold = 50;
 
-/// Activity partitioning for array-scale transients (DESIGN.md §15).
-///  - kOff:   every nonlinear device is loaded every Newton iteration
-///            (the unpartitioned path — also the regression oracle).
-///  - kElide: quiescent devices' nonlinear stamps are captured once and
-///            replayed while their input voltages stay within the
-///            tolerance; at tolerance 0 the replay condition is bitwise
-///            input equality and the run is bit-identical to kOff.
-///  - kSchur: kElide plus a grouped (Schur-fold) elimination ordering
-///            that condenses each quiescent cell's interior unknowns
-///            ahead of the boundary, enabling partial refactorizations
-///            that skip the folded rows.
-enum class ActivityMode { kOff, kElide, kSchur };
-
-/// Parse "off" | "elide" | "schur" (throws std::invalid_argument on
-/// anything else — CLI layers catch this and exit with usage).
-ActivityMode activity_mode_from_string(const std::string& text);
-std::string activity_mode_to_string(ActivityMode mode);
-
-/// Activity map for one circuit topology. Device names (not pointers) so
-/// one partition serves both passes of run_rtn_transient, whose nominal
-/// and injected circuits are separate builds of the same netlist.
-struct ActivityPartition {
-  ActivityMode mode = ActivityMode::kOff;
-  /// Max-abs move of any input-node voltage before a quiescent device is
-  /// re-evaluated. 0 = re-evaluate on any change (bit-exact elision).
-  double tolerance = 0.0;
-  /// Nonlinear devices allowed to elide (typically every transistor of a
-  /// quiescent cell). Names absent from the circuit are ignored; devices
-  /// without a nonlinear_inputs() contract stay active.
-  std::vector<std::string> quiescent_devices;
-  /// Schur ordering groups (kSchur only): each inner list holds the MNA
-  /// unknown indices interior to one quiescent cell. Forwarded to
-  /// SparseLu::set_ordering_groups.
-  std::vector<std::vector<int>> groups;
-};
-
 /// Reusable per-circuit solver scratch: Jacobian, cached linear base,
 /// residual, delta, LU factors and pivots, predictor buffers, and the
 /// device list split into linear/nonlinear groups. Bind with attach();
@@ -145,14 +102,10 @@ class NewtonWorkspace {
   /// programs are re-recorded and re-resolved, but the symbolic LU
   /// analysis survives the re-attach whenever the new circuit's Jacobian
   /// pattern is unchanged — the cross-repetition reuse that makes
-  /// Monte-Carlo campaigns pay for the analysis exactly once.
-  ///
-  /// A non-null `activity` with mode != kOff engages the
-  /// activity-partitioned engine (forcing the sparse path regardless of
-  /// size): elision caches are sized, quiescent-device names resolved and
-  /// — in kSchur mode — the ordering groups handed to the sparse LU.
-  void attach(Circuit& circuit, SolverKind solver = SolverKind::kAuto,
-              const ActivityPartition* activity = nullptr);
+  /// Monte-Carlo campaigns pay for the analysis exactly once. The sparse
+  /// LU orders by the circuit's ordering groups (Circuit::ordering_groups,
+  /// DESIGN.md §15); they never change which engine is picked.
+  void attach(Circuit& circuit, SolverKind solver = SolverKind::kAuto);
 
   const SolverStats& stats() const noexcept { return stats_; }
   /// True when the last attach selected the sparse engine.
@@ -204,34 +157,6 @@ class NewtonWorkspace {
   std::vector<double*> sp_nl_slots_;      ///< into sp_jac_
   std::vector<double*> sp_diag_slots_;    ///< sp_base_ diagonal (gmin/pins)
   StampSink sp_sink_;
-  // Activity-partitioned engine state (engaged when ap_mode_ != kOff;
-  // always rides the sparse path). Per nonlinear device i:
-  // [ap_prog_begin_[i], ap_prog_end_[i]) is its slice of the nonlinear
-  // stamp program, [ap_input_begin_[i], ap_input_begin_[i+1]) its slice
-  // of ap_input_nodes_/ap_key_/ap_res_cache_. A device replays its cached
-  // Jacobian values (ap_jac_cache_, program-aligned) and residual
-  // contributions whenever x at its input nodes is within ap_tol_ of the
-  // values cached at its last real evaluation (ap_key_).
-  ActivityMode ap_mode_ = ActivityMode::kOff;
-  double ap_tol_ = 0.0;
-  std::vector<std::size_t> ap_prog_begin_;    ///< per nl device, nl-program-relative
-  std::vector<std::size_t> ap_prog_end_;
-  std::vector<unsigned char> ap_elidable_;    ///< per nl device
-  std::vector<std::size_t> ap_input_begin_;   ///< per nl device + 1
-  std::vector<int> ap_input_nodes_;           ///< flattened, ground dropped
-  std::vector<double> ap_key_;                ///< x at inputs, last evaluation
-  std::vector<unsigned char> ap_valid_;       ///< per nl device: cache live
-  std::vector<double> ap_jac_cache_;          ///< captured nl stamp values
-  std::vector<double> ap_res_cache_;          ///< captured residual adds
-  std::vector<double> ap_scratch_res_;        ///< zero except mid-capture
-  // Partial-refactor bookkeeping: min permuted factor row whose A values
-  // may differ from the last successful factorization. Lowered by device
-  // re-evaluations (per-device floors over their stamp rows) and base
-  // rebuilds; reset to n after each successful factor.
-  std::size_t ap_dirty_min_ = 0;
-  bool ap_floors_valid_ = false;
-  std::vector<std::size_t> ap_row_floor_;     ///< per nl device
-  std::size_t ap_static_floor_ = 0;           ///< min over non-elidable devices
   // Residual-history bypass auto-disable: judge each bypassed iteration
   // by whether the following residual still contracted at the required
   // rate; workloads where stale-LU iterations repeatedly stall get the
@@ -309,16 +234,8 @@ struct TransientOptions {
   /// batch — and a scalar rerun with the same options — takes *exactly*
   /// the same steps. See DESIGN.md §13.
   bool fixed_grid = false;
-  /// Monte-Carlo lane count hint for campaign-level batching: how many
-  /// samples the campaign runner should march through one
-  /// transient_batch() call (spice/batch.hpp). 1 = scalar path. The
-  /// scalar transient() ignores it.
-  std::size_t batch = 1;
   /// Extra mandatory time points (e.g. RTN switch instants).
   std::vector<double> extra_breakpoints;
-  /// Activity partition for array-scale circuits (kOff = classic path).
-  /// Rejected by the batched engine (transient_batch throws).
-  ActivityPartition activity;
   /// Called after every accepted step with (t, solution). This is the
   /// coupling hook: the bi-directionally coupled RTN simulation advances
   /// its trap chains here using the instantaneous node voltages.

@@ -40,12 +40,6 @@ std::vector<TransientResult> NewtonDriver::run_transient_batch(
         "transient_batch: on_step is unsupported (lanes advance together; "
         "run coupled simulations through the scalar transient)");
   }
-  if (options.activity.mode != ActivityMode::kOff) {
-    throw std::invalid_argument(
-        "transient_batch: activity partitioning is unsupported (the SoA "
-        "channel sweep evaluates every MOSFET every iteration; use the "
-        "scalar transient for partitioned arrays)");
-  }
   const std::size_t lanes = circuits.size();
   if (lanes == 0) return {};
   static const std::vector<std::pair<int, double>> kNoPins;

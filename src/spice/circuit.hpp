@@ -76,20 +76,6 @@ class Device {
   /// their work across the kLinear/kNonlinear scopes instead.
   virtual bool is_linear() const noexcept { return false; }
 
-  /// Nodes of x that the device's kNonlinear load reads — the elision
-  /// contract for the activity-partitioned engine. A non-empty return
-  /// promises that, for this device:
-  ///  - the kNonlinear stamps (Jacobian values *and* residual
-  ///    contributions) are a pure function of x at exactly these indices
-  ///    — independent of time, a0/ci and any committed history — and
-  ///  - the kNonlinear residual writes touch only these indices, with at
-  ///    most one addition per index per load.
-  /// Under that promise the engine may replay a cached snapshot of the
-  /// stamps whenever x at these indices is unchanged (bit-identical at
-  /// tolerance 0). Ground (negative) entries are permitted and ignored.
-  /// The default empty span opts the device out of elision entirely.
-  virtual std::span<const int> nonlinear_inputs() const { return {}; }
-
   /// Record charge/current history after a step is accepted. `a0`/`ci`
   /// are the coefficients the *accepted* step was integrated with.
   virtual void commit(std::span<const double> x, double a0, double ci);
@@ -144,6 +130,18 @@ class Circuit {
     return {devices_.data(), devices_.size()};
   }
 
+  /// Cell-grouped ordering for the sparse LU (SparseLu::set_ordering_groups,
+  /// DESIGN.md §15): each group lists the MNA unknowns private to one cell
+  /// that no operation addresses. Builders that know their topology set
+  /// it once every node and branch exists; the solver reads it on each
+  /// sparse attach. Empty (the default) keeps the classic ordering.
+  void set_ordering_groups(std::vector<std::vector<int>> groups) {
+    ordering_groups_ = std::move(groups);
+  }
+  const std::vector<std::vector<int>>& ordering_groups() const noexcept {
+    return ordering_groups_;
+  }
+
   /// Find a device by name; returns nullptr if absent or wrong type.
   template <typename DeviceT>
   DeviceT* find(const std::string& name) {
@@ -158,6 +156,7 @@ class Circuit {
   std::vector<std::string> node_names_;
   std::size_t num_branches_ = 0;
   std::vector<std::unique_ptr<Device>> devices_;
+  std::vector<std::vector<int>> ordering_groups_;
 };
 
 }  // namespace samurai::spice

@@ -162,7 +162,7 @@ void CallbackCurrentSource::load(const LoadContext& ctx) {
 Mosfet::Mosfet(std::string name, int drain, int gate, int source, int bulk,
                physics::MosDevice model)
     : Device(std::move(name)), d_(drain), g_(gate), s_(source), b_(bulk),
-      terminals_{drain, gate, source, bulk}, model_(std::move(model)) {
+      model_(std::move(model)) {
   const auto& geom = model_.geometry();
   const double c_gate = model_.tech().c_ox() * geom.width * geom.length;
   // Meyer-style constant split: half the gate capacitance to each of

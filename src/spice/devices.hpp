@@ -3,7 +3,6 @@
 // capacitances).
 #pragma once
 
-#include <array>
 #include <functional>
 #include <string>
 #include <vector>
@@ -114,13 +113,6 @@ class Mosfet final : public Device {
   void load(const LoadContext& ctx) override;
   void commit(std::span<const double> x, double a0, double ci) override;
   void reset_history() override;
-  /// The channel evaluation reads exactly the four terminal voltages and
-  /// its stamps satisfy the purity/single-add contract (see Device), so
-  /// the MOSFET is elidable in the activity-partitioned engine.
-  std::span<const int> nonlinear_inputs() const override {
-    return {terminals_.data(), terminals_.size()};
-  }
-
   /// Stamp the channel (residual + 8 Jacobian entries) for an operating
   /// point that was already evaluated — the batched transient engine
   /// evaluates all lanes' channels in one SoA sweep, then replays each
@@ -149,7 +141,6 @@ class Mosfet final : public Device {
                             double a0, double ci);
 
   int d_, g_, s_, b_;
-  std::array<int, 4> terminals_{};  ///< {d, g, s, b} for nonlinear_inputs
   physics::MosDevice model_;
   std::vector<ChargeElement> charges_;
 };

@@ -184,7 +184,7 @@ double singularity_threshold(double scale, std::size_t n) {
                   std::numeric_limits<double>::min());
 }
 
-/// When a grouped (Schur-fold) analysis fails — a group interior that is
+/// When a grouped analysis fails — a group interior that is
 /// not invertible on its own — fall back to the classic whole-matrix
 /// discovery, but only below this size: the classic path allocates an
 /// O(n²) dense working copy, which at array scale (tens of thousands of
@@ -203,19 +203,19 @@ bool SparseLu::pattern_matches(const SparseMatrix& a) const {
          a.cols() == a_cols_;
 }
 
-void SparseLu::set_ordering_groups(std::vector<std::vector<int>> groups) {
+void SparseLu::set_ordering_groups(
+    const std::vector<std::vector<int>>& groups) {
   if (groups == groups_) return;  // Monte-Carlo re-attach: keep the analysis
-  groups_ = std::move(groups);
+  groups_ = groups;
   invalidate();
 }
 
 bool SparseLu::factor(const SparseMatrix& a, double scale_hint,
-                      bool* was_analysis, std::size_t first_changed_row) {
+                      bool* was_analysis) {
   if (was_analysis) *was_analysis = false;
   const std::size_t n = a.size();
   if (n == 0) {
     analyzed_ = true;
-    numeric_valid_ = true;
     n_ = 0;
     a_row_ptr_.assign(1, 0);
     a_cols_.clear();
@@ -228,15 +228,8 @@ bool SparseLu::factor(const SparseMatrix& a, double scale_hint,
   if (scale == 0.0) return false;  // zero matrix
   const double threshold = singularity_threshold(scale, n);
   if (pattern_matches(a)) {
-    // A partial refactorization is only meaningful against the intact
-    // numeric state of the previous successful factor.
-    const std::size_t floor =
-        numeric_valid_ ? std::min(first_changed_row, n) : 0;
-    if (refactor(a, threshold, floor)) return true;
+    if (refactor(a, threshold)) return true;
     // Static pivots degraded numerically: re-analyse with fresh pivoting.
-    // (A partial sweep fails iff the full sweep fails — the retained rows
-    // are bit-identical by the caller's contract — so go straight to the
-    // analysis.)
   }
   if (was_analysis) *was_analysis = true;
   analyzed_ = analyze(a, threshold);
@@ -244,7 +237,6 @@ bool SparseLu::factor(const SparseMatrix& a, double scale_hint,
 }
 
 bool SparseLu::analyze(const SparseMatrix& a, double threshold) {
-  numeric_valid_ = false;
   n_ = a.size();
   bool ok;
   if (!groups_.empty()) {
@@ -255,7 +247,6 @@ bool SparseLu::analyze(const SparseMatrix& a, double threshold) {
   }
   if (!ok) return false;
   build_scatter_map(a);
-  numeric_valid_ = true;
   return true;
 }
 
@@ -828,36 +819,12 @@ bool SparseLu::analyze_grouped(const SparseMatrix& a, double threshold) {
   return true;
 }
 
-bool SparseLu::refactor(const SparseMatrix& a, double threshold,
-                        std::size_t first_changed_row) {
+bool SparseLu::refactor(const SparseMatrix& a, double threshold) {
   const std::size_t n = n_;
   const auto& avals = a.values();
-  // `numeric_valid_` drops for the duration of the sweep: a mid-sweep
-  // pivot failure leaves lu_vals_ partially overwritten, which must not
-  // seed a later partial refactorization.
-  numeric_valid_ = false;
-  if (first_changed_row == 0) {
-    std::fill(lu_vals_.begin(), lu_vals_.end(), 0.0);
-    for (std::size_t e = 0; e < avals.size(); ++e) {
-      lu_vals_[static_cast<std::size_t>(a_to_lu_[e])] += avals[e];
-    }
-  } else {
-    // Partial mode: the caller promises rows below the floor map to
-    // bit-identical A values, so their retained L/U rows (and reciprocal
-    // pivots) are exactly what a full sweep would recompute. Re-scatter
-    // and re-sweep only the tail.
-    std::fill(
-        lu_vals_.begin() + lu_row_ptr_[first_changed_row], lu_vals_.end(),
-        0.0);
-    const auto& arp = a.row_ptr();
-    for (std::size_t k = first_changed_row; k < n; ++k) {
-      const std::size_t r = row_perm_[k];
-      for (int idx = arp[r]; idx < arp[r + 1]; ++idx) {
-        lu_vals_[static_cast<std::size_t>(
-            a_to_lu_[static_cast<std::size_t>(idx)])] +=
-            avals[static_cast<std::size_t>(idx)];
-      }
-    }
+  std::fill(lu_vals_.begin(), lu_vals_.end(), 0.0);
+  for (std::size_t e = 0; e < avals.size(); ++e) {
+    lu_vals_[static_cast<std::size_t>(a_to_lu_[e])] += avals[e];
   }
   // Up-looking sweep over the static pattern, rows in permuted order. For
   // row k, each L entry (column j < k, ascending) becomes the multiplier
@@ -865,7 +832,7 @@ bool SparseLu::refactor(const SparseMatrix& a, double threshold,
   // is closed under elimination by construction, so every target position
   // exists (the pos_ guard only skips positions a cancellation-proof
   // superset makes structurally absent — never silently wrong values).
-  for (std::size_t k = first_changed_row; k < n; ++k) {
+  for (std::size_t k = 0; k < n; ++k) {
     const int row_begin = lu_row_ptr_[k];
     const int row_end = lu_row_ptr_[k + 1];
     for (int idx = row_begin; idx < row_end; ++idx) {
@@ -900,7 +867,6 @@ bool SparseLu::refactor(const SparseMatrix& a, double threshold,
     }
     recip_diag_[k] = 1.0 / pivot;
   }
-  numeric_valid_ = true;
   return true;
 }
 

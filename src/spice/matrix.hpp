@@ -203,55 +203,33 @@ class SparseLu {
  public:
   /// Drop all symbolic state (stale factors from another topology must
   /// never leak into a fresh solve).
-  void invalidate() noexcept {
-    analyzed_ = false;
-    numeric_valid_ = false;
-  }
+  void invalidate() noexcept { analyzed_ = false; }
   bool analyzed() const noexcept { return analyzed_; }
   /// Entries in L+U including fill-in (after a successful analysis).
   std::size_t fill_nnz() const noexcept { return lu_cols_.size(); }
 
-  /// Grouped (Schur-fold) elimination ordering. Each group lists the MNA
-  /// unknowns interior to one quiescent cell; unknowns in no group are
-  /// *boundary*. The analysis then eliminates every group's interior
-  /// first — a small local threshold-Markowitz factorization per group,
-  /// pivots restricted to interior×interior, whose Schur complement is
-  /// accumulated onto the boundary — and orders the boundary last with
-  /// the classic Markowitz pass. This is the fill-reducing ordering hook
-  /// for array-scale patterns: the O(n²) dense discovery scratch shrinks
-  /// to O(boundary²) + O(max group²), and refactor() can skip the leading
-  /// (group) rows entirely when only boundary/active stamps changed (see
-  /// `first_changed_row`). Unknowns of two *different* groups must not
-  /// couple directly; coupled pairs are demoted to the boundary during
+  /// Cell-grouped elimination ordering. Each group lists the MNA
+  /// unknowns private to one cell; unknowns in no group are *boundary*.
+  /// The analysis then eliminates every group's interior first — a small
+  /// local threshold-Markowitz factorization per group, pivots restricted
+  /// to interior×interior, whose Schur complement is accumulated onto the
+  /// boundary — and orders the boundary last with the classic Markowitz
+  /// pass. This is the fill-reducing ordering hook for array-scale
+  /// patterns: the O(n²) dense discovery scratch shrinks to
+  /// O(boundary²) + O(max group²). Unknowns of two *different* groups must
+  /// not couple directly; coupled pairs are demoted to the boundary during
   /// analysis rather than rejected. Setting a different group list
   /// invalidates the current analysis; an equal one is a no-op.
-  void set_ordering_groups(std::vector<std::vector<int>> groups);
+  void set_ordering_groups(const std::vector<std::vector<int>>& groups);
   bool has_ordering_groups() const noexcept { return !groups_.empty(); }
-
-  /// Position of an original row in the elimination (pivot) order. Valid
-  /// after a successful analysis. With grouped ordering, group interiors
-  /// occupy [0, n_interior) and the boundary the tail — callers use this
-  /// to translate "which stamps changed" into a refactor floor.
-  std::size_t permuted_row(std::size_t original_row) const {
-    return row_perm_inv_[original_row];
-  }
 
   /// Factor `a`. Reuses the stored symbolic analysis when `a`'s pattern
   /// matches; analyses from scratch otherwise (or when static pivoting
   /// fails). Returns false when the matrix is numerically singular. When
   /// `was_analysis` is non-null it reports whether this call performed a
   /// fresh symbolic analysis (vs a numeric refactorization only).
-  ///
-  /// `first_changed_row` (permuted index, see permuted_row) promises that
-  /// every A value mapping to a factor row below it is bit-identical to
-  /// the previous *successful* factor() of this object: the numeric
-  /// refactorization then keeps those rows' L/U values and re-scatters +
-  /// re-sweeps only rows at or above the floor — bit-identical to the
-  /// full sweep by construction, since an up-looking row depends only on
-  /// earlier rows. Ignored (treated as 0) when the previous numeric state
-  /// is unavailable or a fresh analysis runs.
   bool factor(const SparseMatrix& a, double scale_hint = -1.0,
-              bool* was_analysis = nullptr, std::size_t first_changed_row = 0);
+              bool* was_analysis = nullptr);
 
   /// Solve A x = b in place against the live factors (cheap, O(fill)).
   void solve(std::span<double> b) const;
@@ -273,8 +251,7 @@ class SparseLu {
   bool analyze_classic(const SparseMatrix& a, double threshold);
   bool analyze_grouped(const SparseMatrix& a, double threshold);
   void build_scatter_map(const SparseMatrix& a);
-  bool refactor(const SparseMatrix& a, double threshold,
-                std::size_t first_changed_row);
+  bool refactor(const SparseMatrix& a, double threshold);
   static double resolve_scale(const SparseMatrix& a, double scale_hint);
   /// Threshold-Markowitz elimination of an n×n dense working copy with
   /// separate structure tracking — the discovery core shared by the
@@ -292,11 +269,7 @@ class SparseLu {
                                   std::vector<std::size_t>& col_perm_inv);
 
   bool analyzed_ = false;
-  /// True while lu_vals_ holds the factors of the last successful
-  /// factor(): the precondition for a partial (first_changed_row > 0)
-  /// refactorization.
-  bool numeric_valid_ = false;
-  std::vector<std::vector<int>> groups_;  ///< Schur-fold ordering groups
+  std::vector<std::vector<int>> groups_;  ///< cell ordering groups
   std::size_t n_ = 0;
   std::vector<std::size_t> row_perm_;      ///< step -> original row
   std::vector<std::size_t> row_perm_inv_;  ///< original row -> step
@@ -338,12 +311,6 @@ bool sparse_lu_solve(const SparseMatrix& a, std::span<double> b,
 ///  - slots:   `*slots[cursor++] += value` — replay of a recorded program
 ///             against resolved CSR value-slot pointers (the sparse hot
 ///             path: no hashing, no bounds search),
-///  - slots+capture: like slots, but additionally records each stamped
-///             value into a side array (`captured[cursor] = value`) — the
-///             activity-partitioned engine uses this to snapshot a
-///             quiescent device's Jacobian contribution so later steps can
-///             replay the identical values without re-evaluating the
-///             device model,
 ///  - discard: drop everything (cache-hit passes that only need residuals).
 ///
 /// Ground stamps (negative row or col) are skipped in *every* mode with
@@ -365,18 +332,6 @@ class StampSink {
     mode_ = Mode::kSlots;
     slots_ = slots;
     slot_count_ = count;
-    cursor_ = 0;
-  }
-  /// Slots mode that also snapshots each stamped value into `captured`
-  /// (caller-sized to `count`). The cursor is shared with plain slots
-  /// mode, so a device's capture is addressed by its recorded program
-  /// range.
-  void bind_slots_capture(double* const* slots, std::size_t count,
-                          double* captured) noexcept {
-    mode_ = Mode::kSlotsCapture;
-    slots_ = slots;
-    slot_count_ = count;
-    captured_ = captured;
     cursor_ = 0;
   }
   void bind_discard() noexcept { mode_ = Mode::kDiscard; }
@@ -402,13 +357,6 @@ class StampSink {
         }
         *slots_[cursor_++] += value;
         break;
-      case Mode::kSlotsCapture:
-        if (cursor_ >= slot_count_) {
-          throw std::logic_error("StampSink: stamp program overrun");
-        }
-        captured_[cursor_] = value;
-        *slots_[cursor_++] += value;
-        break;
       case Mode::kRecord:
         coords_->emplace_back(row, col);
         break;
@@ -418,13 +366,12 @@ class StampSink {
   }
 
  private:
-  enum class Mode { kDense, kSlots, kSlotsCapture, kRecord, kDiscard };
+  enum class Mode { kDense, kSlots, kRecord, kDiscard };
   Mode mode_ = Mode::kDiscard;
   DenseMatrix* dense_ = nullptr;
   std::vector<std::pair<int, int>>* coords_ = nullptr;
   double* const* slots_ = nullptr;
   std::size_t slot_count_ = 0;
-  double* captured_ = nullptr;
   std::size_t cursor_ = 0;
 };
 

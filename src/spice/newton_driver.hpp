@@ -68,20 +68,6 @@ struct NewtonDriver {
                                        std::span<const double> x, double time,
                                        double a0, double ci);
 
-  /// Activity-partitioned replacement for the plain nonlinear device
-  /// loop (sparse path, ap_mode_ != kOff): quiescent devices whose input
-  /// voltages are within tolerance of their cached evaluation replay the
-  /// cached Jacobian/residual stamps; everything else is loaded for real
-  /// (with the stamps captured for next time) and lowers the
-  /// partial-refactor dirty floor.
-  static void stamp_nonlinear_partitioned(NewtonWorkspace& ws,
-                                          std::span<const double> x,
-                                          LoadContext& ctx);
-
-  /// Recompute the per-device permuted-row floors after a fresh symbolic
-  /// analysis (the permutation they translate through just changed).
-  static void recompute_ap_floors(NewtonWorkspace& ws);
-
   /// Residual norms → factor-or-bypass → triangular solve → damped update
   /// → convergence test. `prev_scaled` carries the modified-Newton
   /// contraction state across iterations of one solve.

@@ -150,8 +150,13 @@ Array2dBuild build_array2d(spice::Circuit& circuit,
 
   // Cells: private stubs tie each cell to its column/row/supply rails
   // through small contact resistances (the WL stub keeps every cell
-  // unknown private, which is what lets the Schur fold condense a
-  // quiescent cell onto the rails).
+  // unknown private, which is what lets the grouped ordering eliminate an
+  // unaddressed cell onto the rails).
+  std::vector<bool> addressed(config.rows, false);
+  for (const auto& op : config.ops) {
+    if (op.kind != ArrayOp::Kind::kNop) addressed[op.row] = true;
+  }
+  std::vector<std::vector<int>> groups;
   for (std::size_t r = 0; r < config.rows; ++r) {
     for (std::size_t c = 0; c < config.cols; ++c) {
       const std::string prefix = array_cell_prefix(r, c);
@@ -168,9 +173,18 @@ Array2dBuild build_array2d(spice::Circuit& circuit,
       circuit.add<spice::Resistor>(prefix + "Rwl",
                                    circuit.find_node(handles.wl), wl_rail[r],
                                    10.0);
+      if (!addressed[r]) {
+        groups.push_back({circuit.find_node(handles.q),
+                          circuit.find_node(handles.qb),
+                          circuit.find_node(handles.bl),
+                          circuit.find_node(handles.blb),
+                          circuit.find_node(handles.vdd),
+                          circuit.find_node(handles.wl)});
+      }
       build.cells.push_back(std::move(handles));
     }
   }
+  circuit.set_ordering_groups(std::move(groups));
   return build;
 }
 
@@ -264,46 +278,9 @@ spice::TransientOptions array2d_transient_options(
   return options;
 }
 
-spice::ActivityPartition array2d_activity(spice::Circuit& circuit,
-                                          const Array2dConfig& config,
-                                          spice::ActivityMode mode,
-                                          double tolerance) {
-  spice::ActivityPartition partition;
-  partition.mode = mode;
-  partition.tolerance = tolerance;
-  if (mode == spice::ActivityMode::kOff) return partition;
-
-  std::vector<bool> addressed(config.rows, false);
-  for (const auto& op : config.ops) {
-    if (op.kind != ArrayOp::Kind::kNop && op.row < config.rows) {
-      addressed[op.row] = true;
-    }
-  }
-  for (std::size_t r = 0; r < config.rows; ++r) {
-    if (addressed[r]) continue;
-    for (std::size_t c = 0; c < config.cols; ++c) {
-      const std::string prefix = array_cell_prefix(r, c);
-      for (int m = 1; m <= 6; ++m) {
-        partition.quiescent_devices.push_back(prefix + "M" +
-                                              std::to_string(m));
-      }
-      if (mode != spice::ActivityMode::kSchur) continue;
-      partition.groups.push_back({circuit.find_node(prefix + "q"),
-                                  circuit.find_node(prefix + "qb"),
-                                  circuit.find_node(prefix + "bl"),
-                                  circuit.find_node(prefix + "blb"),
-                                  circuit.find_node(prefix + "vdd"),
-                                  circuit.find_node(prefix + "wl")});
-    }
-  }
-  return partition;
-}
-
 Array2dRtnResult run_array2d_rtn(const Array2dConfig& config,
-                                 std::uint64_t seed, double rtn_scale,
-                                 const spice::ActivityPartition* activity) {
+                                 std::uint64_t seed, double rtn_scale) {
   spice::TransientOptions options = array2d_transient_options(config);
-  if (activity != nullptr) options.activity = *activity;
   // Both passes run on the fixed op-slot grid. With LTE control on, every
   // trap transition in any of the R*C injected sources forces a global
   // step refinement, so the injected cost would scale with the total

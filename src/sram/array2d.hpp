@@ -6,10 +6,9 @@
 // differential at once — which is what makes per-column worst-case sense
 // margin under RTN a single-transient measurement.
 //
-// The array is the target workload of the activity-partitioned engine:
-// during any one op at most one row is selected, so (R-1)×C cells are
-// quiescent and their device evaluations/factor rows can be elided or
-// Schur-folded (array2d_activity builds that partition).
+// Cells on rows no op addresses get one sparse-ordering group each (their
+// six private unknowns), which keeps the sparse LU's symbolic analysis
+// cheap at array scale (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -64,7 +63,10 @@ struct Array2dBuild {
 std::string array_cell_prefix(std::size_t row, std::size_t col);
 
 /// Build the array circuit (cells + per-row WL drivers + per-column
-/// periphery + sources) for the given op sequence.
+/// periphery + sources) for the given op sequence. Each cell on a row no
+/// op addresses contributes one ordering group to the circuit — its six
+/// private unknowns {q, qb, bl stub, blb stub, vdd stub, wl stub}, whose
+/// boundary is the shared column/row rails.
 Array2dBuild build_array2d(spice::Circuit& circuit,
                            const Array2dConfig& config);
 
@@ -91,17 +93,6 @@ Array2dReport check_array2d(const spice::TransientResult& result,
 /// initial_bits basin with all bitlines precharged high.
 spice::TransientOptions array2d_transient_options(const Array2dConfig& config);
 
-/// Activity partition for a built array: cells on rows never addressed by
-/// `config.ops` are quiescent — their six transistors become elidable and
-/// (in Schur mode) their six private unknowns {q, qb, bl stub, blb stub,
-/// vdd stub, wl stub} form one fold group per cell whose boundary is the
-/// shared column/row rails. Stored by device name so one partition serves
-/// both run_rtn_transient passes.
-spice::ActivityPartition array2d_activity(spice::Circuit& circuit,
-                                          const Array2dConfig& config,
-                                          spice::ActivityMode mode,
-                                          double tolerance = 0.0);
-
 struct Array2dRtnResult {
   /// Nominal + injected transients and the wall-clock phase split
   /// (rtn.nominal_seconds / generation_seconds / injected_seconds).
@@ -113,9 +104,7 @@ struct Array2dRtnResult {
 /// Run the array nominally and with SAMURAI RTN injected into every
 /// cell's M5 pull-down (amplitude-scaled) through run_rtn_transient, with
 /// the cells generated across the shared pool and grid-sampled injection.
-/// A non-null `activity` runs both transients activity-partitioned.
 Array2dRtnResult run_array2d_rtn(const Array2dConfig& config,
-                                 std::uint64_t seed, double rtn_scale,
-                                 const spice::ActivityPartition* activity = nullptr);
+                                 std::uint64_t seed, double rtn_scale);
 
 }  // namespace samurai::sram

@@ -90,6 +90,7 @@ ColumnBuild build_column(spice::Circuit& circuit, const ColumnConfig& config) {
 
   // Cells; their private bitline stubs tie to the shared rails through
   // small contact resistances.
+  std::vector<const spice::VoltageSource*> wl_sources;
   for (std::size_t i = 0; i < config.num_cells; ++i) {
     const std::string prefix = cell_prefix(i);
     auto handles = build_6t_cell(circuit, config.tech, config.sizing, prefix);
@@ -99,9 +100,9 @@ ColumnBuild build_column(spice::Circuit& circuit, const ColumnConfig& config) {
                                  circuit.find_node(handles.blb), blb, 20.0);
     circuit.add<spice::Resistor>(prefix + "Rvdd",
                                  circuit.find_node(handles.vdd), vdd, 2.0);
-    circuit.add<spice::VoltageSource>(circuit, prefix + "Vwl",
-                                      circuit.find_node(handles.wl),
-                                      spice::kGround, waves.wl[i]);
+    wl_sources.push_back(&circuit.add<spice::VoltageSource>(
+        circuit, prefix + "Vwl", circuit.find_node(handles.wl),
+        spice::kGround, waves.wl[i]));
     build.cells.push_back(std::move(handles));
   }
 
@@ -146,6 +147,25 @@ ColumnBuild build_column(spice::Circuit& circuit, const ColumnConfig& config) {
                              physics::MosDevice(config.tech,
                                                 physics::MosType::kNmos,
                                                 driver_geom));
+
+  // One ordering group per cell no op addresses: its seven private
+  // unknowns {q, qb, bl stub, blb stub, vdd stub, wl, Vwl branch}, whose
+  // boundary is the shared bl/blb/vdd rails. Recorded last because branch
+  // indices shift with every node added.
+  std::vector<bool> addressed(config.num_cells, false);
+  for (const auto& op : config.ops) {
+    if (op.kind != ColumnOp::Kind::kNop) addressed[op.cell] = true;
+  }
+  std::vector<std::vector<int>> groups;
+  for (std::size_t i = 0; i < config.num_cells; ++i) {
+    if (addressed[i]) continue;
+    const SramCellHandles& cell = build.cells[i];
+    groups.push_back({circuit.find_node(cell.q), circuit.find_node(cell.qb),
+                      circuit.find_node(cell.bl), circuit.find_node(cell.blb),
+                      circuit.find_node(cell.vdd), circuit.find_node(cell.wl),
+                      wl_sources[i]->branch_index()});
+  }
+  circuit.set_ordering_groups(std::move(groups));
   return build;
 }
 
@@ -223,50 +243,9 @@ spice::TransientOptions column_transient_options(const ColumnConfig& config) {
   return options;
 }
 
-spice::ActivityPartition column_activity(spice::Circuit& circuit,
-                                         const ColumnConfig& config,
-                                         spice::ActivityMode mode,
-                                         double tolerance) {
-  spice::ActivityPartition partition;
-  partition.mode = mode;
-  partition.tolerance = tolerance;
-  if (mode == spice::ActivityMode::kOff) return partition;
-
-  std::vector<bool> addressed(config.num_cells, false);
-  for (const auto& op : config.ops) {
-    if (op.kind != ColumnOp::Kind::kNop && op.cell < config.num_cells) {
-      addressed[op.cell] = true;
-    }
-  }
-  for (std::size_t i = 0; i < config.num_cells; ++i) {
-    if (addressed[i]) continue;
-    const std::string prefix = cell_prefix(i);
-    for (int m = 1; m <= 6; ++m) {
-      partition.quiescent_devices.push_back(prefix + "M" + std::to_string(m));
-    }
-    if (mode != spice::ActivityMode::kSchur) continue;
-    auto* vwl = circuit.find<spice::VoltageSource>(prefix + "Vwl");
-    if (vwl == nullptr) {
-      throw std::invalid_argument("column_activity: circuit is not a "
-                                  "build_column circuit (missing " +
-                                  prefix + "Vwl)");
-    }
-    partition.groups.push_back({circuit.find_node(prefix + "q"),
-                                circuit.find_node(prefix + "qb"),
-                                circuit.find_node(prefix + "bl"),
-                                circuit.find_node(prefix + "blb"),
-                                circuit.find_node(prefix + "vdd"),
-                                circuit.find_node(prefix + "wl"),
-                                vwl->branch_index()});
-  }
-  return partition;
-}
-
 ColumnRtnResult run_column_rtn(const ColumnConfig& config, std::uint64_t seed,
-                               double rtn_scale,
-                               const spice::ActivityPartition* activity) {
+                               double rtn_scale) {
   spice::TransientOptions options = column_transient_options(config);
-  if (activity != nullptr) options.activity = *activity;
 
   // One RTN request per cell transistor, each with its own stream.
   std::vector<spice::RtnRequest> requests;

@@ -66,7 +66,10 @@ struct ColumnBuild {
 };
 
 /// Build the column circuit (cells + precharge + drivers + sources) for
-/// the given op sequence. Returns the handles needed for probing.
+/// the given op sequence. Returns the handles needed for probing. Each
+/// cell no op addresses contributes one ordering group to the circuit —
+/// its seven private unknowns {q, qb, bl stub, blb stub, vdd stub, wl,
+/// Vwl branch} (DESIGN.md §15).
 ColumnBuild build_column(spice::Circuit& circuit, const ColumnConfig& config);
 
 struct ReadOutcome {
@@ -107,18 +110,6 @@ spice::TransientOptions column_transient_options(const ColumnConfig& config);
 /// Name of cell i's devices/nodes prefix inside a column ("c<i>_").
 std::string column_cell_prefix(std::size_t index);
 
-/// Activity partition for a built column: every cell never addressed by
-/// `config.ops` is quiescent — its six transistors become elidable and
-/// (in Schur mode) its seven private unknowns {q, qb, bl stub, blb stub,
-/// vdd stub, wl, Vwl branch} form one fold group whose boundary is the
-/// shared bl/blb/vdd rails. Device names (not pointers) are stored so one
-/// partition serves both passes of run_rtn_transient, which builds a
-/// fresh circuit per pass.
-spice::ActivityPartition column_activity(spice::Circuit& circuit,
-                                         const ColumnConfig& config,
-                                         spice::ActivityMode mode,
-                                         double tolerance = 0.0);
-
 struct ColumnRtnResult {
   spice::RtnTransientResult rtn;  ///< nominal + injected transients
   ColumnReport nominal_report;
@@ -127,9 +118,7 @@ struct ColumnRtnResult {
 
 /// Run the column nominally and with SAMURAI RTN injected into every cell
 /// transistor (amplitude-scaled), via the generic two-pass integration.
-/// A non-null `activity` runs both passes activity-partitioned.
 ColumnRtnResult run_column_rtn(const ColumnConfig& config, std::uint64_t seed,
-                               double rtn_scale,
-                               const spice::ActivityPartition* activity = nullptr);
+                               double rtn_scale);
 
 }  // namespace samurai::sram

@@ -1,11 +1,12 @@
-// R×C array build, op semantics, and the activity-partitioned engine on
-// its target workload: quiescent-row cells must elide/fold without
-// changing what the selected row does.
+// R×C array build, op semantics, and the cell-grouped sparse ordering on
+// its target workload: grouping the unaddressed rows' cells must not
+// change what the array does, nor how hard Newton works under RTN.
 #include "sram/array2d.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 namespace samurai::sram {
 namespace {
@@ -27,13 +28,14 @@ Array2dConfig small_array() {
   return config;
 }
 
-spice::TransientResult run_array(const Array2dConfig& config,
-                                 spice::ActivityMode activity,
-                                 double tolerance = 0.0,
+/// Transient of the array on the sparse engine, with the ordering groups
+/// as built or cleared (classic whole-matrix ordering).
+spice::TransientResult run_array(const Array2dConfig& config, bool grouped,
                                  Array2dBuild* build_out = nullptr,
                                  bool fixed_steps = true) {
   spice::Circuit circuit;
   auto build = build_array2d(circuit, config);
+  if (!grouped) circuit.set_ordering_groups({});
   spice::TransientOptions options = array2d_transient_options(config);
   options.solver = spice::SolverKind::kSparse;
   if (fixed_steps) {
@@ -41,7 +43,6 @@ spice::TransientResult run_array(const Array2dConfig& config,
     options.lte_reltol = 1e9;
     options.lte_abstol = 1e9;
   }
-  options.activity = array2d_activity(circuit, config, activity, tolerance);
   if (build_out) *build_out = std::move(build);
   return spice::transient(circuit, options);
 }
@@ -95,8 +96,7 @@ TEST(Array2d, RowOpsWriteWordsAndSenseEveryColumn) {
   // four columns at once. Everything must land and nothing may disturb.
   const Array2dConfig config = small_array();
   Array2dBuild build;
-  const auto result =
-      run_array(config, spice::ActivityMode::kOff, 0.0, &build, false);
+  const auto result = run_array(config, /*grouped=*/true, &build, false);
   const auto report = check_array2d(result, config, build);
   EXPECT_FALSE(report.any_error);
   ASSERT_EQ(report.writes.size(), 4u);
@@ -120,78 +120,120 @@ TEST(Array2d, RowOpsWriteWordsAndSenseEveryColumn) {
             report.min_sense_margin);
 }
 
-TEST(Array2d, ActivityPartitionCoversQuiescentRowsOnly) {
+TEST(Array2d, OrderingGroupsCoverUnaddressedRowsOnly) {
   Array2dConfig config = small_array();  // ops address rows 1 and 3
   spice::Circuit circuit;
   build_array2d(circuit, config);
-  const auto elide = array2d_activity(circuit, config,
-                                      spice::ActivityMode::kElide);
-  // Rows 0 and 2 are quiescent: 2 rows × 4 cols × 6 transistors.
-  EXPECT_EQ(elide.quiescent_devices.size(), 48u);
-  EXPECT_TRUE(elide.groups.empty());
-  const auto schur = array2d_activity(circuit, config,
-                                      spice::ActivityMode::kSchur);
-  EXPECT_EQ(schur.quiescent_devices.size(), 48u);
-  ASSERT_EQ(schur.groups.size(), 8u);  // one fold group per quiescent cell
-  for (const auto& group : schur.groups) EXPECT_EQ(group.size(), 6u);
+  // Rows 0 and 2 are unaddressed: one group of six private unknowns per
+  // cell, in row-major order.
+  const auto& groups = circuit.ordering_groups();
+  ASSERT_EQ(groups.size(), 8u);
+  for (const auto& group : groups) EXPECT_EQ(group.size(), 6u);
+  EXPECT_EQ(groups[0][0], circuit.find_node("r0c0_q"));
+  EXPECT_EQ(groups[4][0], circuit.find_node("r2c0_q"));
+  EXPECT_EQ(groups[7][5], circuit.find_node("r2c3_wl"));
 
-  // Address every row: nothing is quiescent, the partition is empty.
+  // Address every row: nothing is left to group.
   config.ops.push_back(ArrayOp::read(0));
   config.ops.push_back(ArrayOp::read(2));
   spice::Circuit all_rows;
   build_array2d(all_rows, config);
-  const auto none = array2d_activity(all_rows, config,
-                                     spice::ActivityMode::kSchur);
-  EXPECT_TRUE(none.quiescent_devices.empty());
-  EXPECT_TRUE(none.groups.empty());
+  EXPECT_TRUE(all_rows.ordering_groups().empty());
 }
 
-TEST(Array2d, ElideIsBitIdenticalOnFixedGrid) {
-  // Same exactness contract as the column: tolerance 0 on a fixed time
-  // grid routes every load through the capture path and must reproduce
-  // the unpartitioned sparse run bit for bit.
-  const Array2dConfig config = small_array();
-  const auto off = run_array(config, spice::ActivityMode::kOff);
-  const auto elide = run_array(config, spice::ActivityMode::kElide, 0.0);
-  ASSERT_EQ(elide.times(), off.times());
-  for (const std::string& node : off.node_names()) {
-    ASSERT_EQ(elide.voltage_samples(node), off.voltage_samples(node))
-        << "node " << node;
-  }
-  const auto& st = elide.stats();
-  EXPECT_EQ(st.device_loads + st.ap_elided_loads, off.stats().device_loads);
-  EXPECT_GT(st.ap_partial_refactors, 0u);
-}
-
-TEST(Array2d, SchurFoldMatchesUnpartitionedWithinTolerance) {
+TEST(Array2d, GroupedOrderingMatchesUngroupedWithinTolerance) {
+  // The grouped ordering eliminates the unaddressed cells' interiors
+  // first: a different, equally exact LU of the same Jacobian.
   const Array2dConfig config = small_array();
   Array2dBuild build;
-  const auto off = run_array(config, spice::ActivityMode::kOff, 0.0, &build);
-  const auto schur = run_array(config, spice::ActivityMode::kSchur, 1e-6);
-  const double t_end = off.times().back();
-  // Selected-row storage, a quiescent cell's storage, and shared rails.
+  const auto ungrouped = run_array(config, /*grouped=*/false, &build);
+  const auto grouped = run_array(config, /*grouped=*/true);
+  const double t_end = ungrouped.times().back();
+  // Selected-row storage, an unaddressed cell's storage, and shared rails.
   for (const std::string& node :
        {build.cells[1 * 4 + 2].q, build.cells[2 * 4 + 1].q, build.bl[0],
         build.blb[3]}) {
     double max_diff = 0.0;
     for (int i = 0; i <= 200; ++i) {
       const double t = t_end * i / 200.0;
-      max_diff = std::max(max_diff, std::abs(off.voltage_at(node, t) -
-                                             schur.voltage_at(node, t)));
+      max_diff = std::max(max_diff, std::abs(ungrouped.voltage_at(node, t) -
+                                             grouped.voltage_at(node, t)));
     }
     EXPECT_LT(max_diff, 2e-4) << "node " << node;
   }
-  const auto& st = schur.stats();
-  EXPECT_EQ(st.ap_folded_cells, 8u);
-  EXPECT_GT(st.ap_elided_loads, 0u);
-  EXPECT_LT(st.sp_symbolic_analyses, 5u);
+  // The ordering is part of the symbolic analysis; steady stepping must
+  // keep reusing it rather than re-analysing.
+  EXPECT_LT(grouped.stats().sp_symbolic_analyses, 5u);
+  EXPECT_FALSE(check_array2d(grouped, config, build).any_error);
+}
 
-  // The partitioned run must still pass the op-level checks.
-  Array2dBuild schur_build;
-  spice::Circuit circuit;
-  schur_build = build_array2d(circuit, config);
-  const auto report = check_array2d(schur, config, schur_build);
-  EXPECT_FALSE(report.any_error);
+TEST(Array2d, GroupedOrderingKeepsNewtonWorkUnderRtn) {
+  // ×30 RTN on every cell's M5, rows 0 and 7 read, rows 1-6 grouped.
+  // The grouped ordering must cost no Newton work and move no margin
+  // against the classic ordering, through the same two-pass driver and
+  // step settings as run_array2d_rtn.
+  Array2dConfig config;
+  config.tech = physics::technology("90nm");
+  config.rows = 8;
+  config.cols = 8;
+  config.initial_bits.resize(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    config.initial_bits[i] = static_cast<int>((i / 8 + i % 8) % 2);
+  }
+  config.ops = {ArrayOp::read(0), ArrayOp::read(7)};
+  spice::TransientOptions options = array2d_transient_options(config);
+  options.dt_initial = options.dt_max;
+  options.lte_reltol = 1e9;
+  options.lte_abstol = 1e9;
+  std::vector<spice::RtnRequest> requests;
+  for (std::size_t flat = 0; flat < 64; ++flat) {
+    requests.push_back(spice::RtnRequest::seeded(
+        array_cell_prefix(flat / 8, flat % 8) + "M5", 30.0,
+        97 + 1000 * flat + 5));
+  }
+  struct Run {
+    spice::RtnTransientResult rtn;
+    Array2dReport nominal, with_rtn;
+  };
+  auto run = [&](bool grouped) {
+    Array2dBuild build;
+    Run out;
+    out.rtn = spice::run_rtn_transient(
+        [&] {
+          auto circuit = std::make_unique<spice::Circuit>();
+          build = build_array2d(*circuit, config);
+          if (!grouped) circuit->set_ordering_groups({});
+          return circuit;
+        },
+        options, requests, {}, {}, /*emit_breakpoints=*/false);
+    out.nominal = check_array2d(out.rtn.nominal, config, build);
+    out.with_rtn = check_array2d(out.rtn.with_rtn, config, build);
+    return out;
+  };
+  const Run grouped = run(true);
+  const Run ungrouped = run(false);
+
+  const auto iterations = [](const spice::RtnTransientResult& r) {
+    return r.nominal.stats().newton_iterations +
+           r.with_rtn.stats().newton_iterations;
+  };
+  for (const Run* r : {&grouped, &ungrouped}) {
+    EXPECT_EQ(r->rtn.nominal.stats().steps_rejected, 0u);
+    EXPECT_EQ(r->rtn.with_rtn.stats().steps_rejected, 0u);
+  }
+  EXPECT_EQ(grouped.rtn.nominal.stats().steps_accepted,
+            ungrouped.rtn.nominal.stats().steps_accepted);
+  EXPECT_EQ(grouped.rtn.with_rtn.stats().steps_accepted,
+            ungrouped.rtn.with_rtn.stats().steps_accepted);
+  EXPECT_LE(iterations(grouped.rtn) * 100, iterations(ungrouped.rtn) * 105);
+  for (std::size_t c = 0; c < 8; ++c) {
+    EXPECT_NEAR(grouped.nominal.column_worst_margin[c],
+                ungrouped.nominal.column_worst_margin[c], 1e-6)
+        << "column " << c;
+    EXPECT_NEAR(grouped.with_rtn.column_worst_margin[c],
+                ungrouped.with_rtn.column_worst_margin[c], 1e-6)
+        << "column " << c;
+  }
 }
 
 TEST(Array2d, RtnRunReportsPhasesAndOutcomes) {

@@ -12,9 +12,46 @@
 #include "campaign/json.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/shard.hpp"
+#include "util/fs.hpp"
 
 namespace samurai::campaign {
 namespace {
+
+// Written by an earlier release whose SolverStats carried four ap_*
+// activity-partition counters and whose manifest carried an "activity"
+// mode. Both keys are gone; files holding them must still load. (The
+// first counter's key is split across two literals so the removed name
+// survives only as data.)
+constexpr const char* kLedgerLineWithApKeys =
+    "{\"shard\": 1, \"samples\": 10, \"w_count\": 0, \"w_failures\": 0, "
+    "\"w_sum\": 0, \"w_sq_sum\": 0, \"w_fail_sum\": 0, \"w_fail_sq_sum\": 0, "
+    "\"fail_count\": 10, \"fail_successes\": 3, \"nominal_count\": 0, "
+    "\"nominal_successes\": 0, \"slow_count\": 0, \"slow_successes\": 0, "
+    "\"value_count\": 0, \"value_mean\": 0, \"value_m2\": 0, "
+    "\"wall_seconds\": 0.5, \"nw_iterations\": 1395, "
+    "\"nw_factorizations\": 0, \"nw_solves\": 0, \"nw_bypass_hits\": 0, "
+    "\"nw_device_loads\": 0, \"nw_cache_hits\": 0, \"nw_steps_accepted\": 0, "
+    "\"nw_steps_rejected\": 0, \"nw_transients\": 0, "
+    "\"nw_workspace_allocations\": 0, \"sp_symbolic_analyses\": 2, "
+    "\"sp_numeric_refactors\": 0, \"sp_solves\": 0, \"bt_batches\": 0, "
+    "\"bt_lanes\": 0, \"bt_steps\": 0, \"ap_" "elided_loads\": 48211, "
+    "\"ap_partial_refactors\": 917, \"ap_rows_skipped\": 203554, "
+    "\"ap_folded_cells\": 224, \"rtn_candidates\": 0, \"rtn_accepted\": 0, "
+    "\"rtn_segments\": 0, \"rtn_rng_refills\": 0, "
+    "\"rtn_envelope_integral\": 0, \"rtn_fixed_bound_integral\": 0}";
+
+constexpr const char* kManifestWithActivity =
+    "{\"kind\": \"array-yield\", \"name\": \"campaign\", \"seed\": 1, "
+    "\"budget\": 30, \"shard_size\": 10, \"threads\": 1, \"batch\": 1, "
+    "\"target_rel_half_width\": 0, \"confidence_z\": 1.959963984540054, "
+    "\"min_samples\": 0, \"node\": \"90nm\", \"v_dd\": 0, \"bits\": \"10\", "
+    "\"rtn_scale\": 30, \"extra_node_cap\": 4e-14, "
+    "\"period\": 1.0000000000000001e-09, \"sigma_vt\": 0.029999999999999999, "
+    "\"shift_m1\": 0, \"shift_m2\": 0, \"shift_m3\": 0, \"shift_m4\": 0, "
+    "\"shift_m5\": 0, \"shift_m6\": 0, \"count_slow_as_fail\": false, "
+    "\"with_rtn\": true, \"rows\": 8, \"cols\": 8, \"activity\": \"schur\", "
+    "\"v_lo\": 0.69999999999999996, \"v_hi\": 0, "
+    "\"resolution\": 0.025000000000000001, \"rtn_seeds\": 1}";
 
 TEST(CampaignJson, DoubleRoundTripsBitExact) {
   for (double value : {0.1 + 0.2, 1.0 / 3.0, 1e-300, 6.02214076e23,
@@ -78,7 +115,6 @@ TEST(CampaignManifest, RoundTripsThroughJson) {
   manifest.rtn_seeds = 3;
   manifest.rows = 64;
   manifest.cols = 32;
-  manifest.activity = "elide";
 
   const Manifest copy = Manifest::from_json(manifest.to_json());
   EXPECT_EQ(copy.kind, manifest.kind);
@@ -103,17 +139,25 @@ TEST(CampaignManifest, RoundTripsThroughJson) {
   EXPECT_EQ(copy.rtn_seeds, manifest.rtn_seeds);
   EXPECT_EQ(copy.rows, manifest.rows);
   EXPECT_EQ(copy.cols, manifest.cols);
-  EXPECT_EQ(copy.activity, manifest.activity);
 }
 
 TEST(CampaignManifest, PreArrayManifestsParseWithDefaults) {
   // Ledgers written before the array footprint existed carry no
-  // rows/cols/activity keys; they must keep parsing as unconstrained.
+  // rows/cols keys; they must keep parsing as unconstrained.
   const Manifest manifest = Manifest::from_json(
       "{\"kind\": \"importance\", \"budget\": 10, \"shard_size\": 5}");
   EXPECT_EQ(manifest.rows, 0u);
   EXPECT_EQ(manifest.cols, 0u);
-  EXPECT_EQ(manifest.activity, "schur");
+
+  // A manifest carrying the removed "activity" key parses, validates and
+  // no longer writes the key back.
+  const Manifest with_activity = Manifest::from_json(kManifestWithActivity);
+  EXPECT_EQ(with_activity.kind, CampaignKind::kArrayYield);
+  EXPECT_EQ(with_activity.budget, 30u);
+  EXPECT_EQ(with_activity.rows, 8u);
+  EXPECT_EQ(with_activity.cols, 8u);
+  EXPECT_NO_THROW(with_activity.validate());
+  EXPECT_EQ(with_activity.to_json().find("activity"), std::string::npos);
 }
 
 TEST(CampaignManifest, ValidationCatchesBadJobs) {
@@ -145,9 +189,6 @@ TEST(CampaignManifest, ValidationCatchesBadJobs) {
   EXPECT_THROW(manifest.validate(), std::invalid_argument);
   manifest.budget = 16;
   EXPECT_NO_THROW(manifest.validate());
-  manifest = Manifest{};
-  manifest.activity = "turbo";
-  EXPECT_THROW(manifest.validate(), std::invalid_argument);
   EXPECT_THROW(kind_from_string("bogus"), std::invalid_argument);
 }
 
@@ -253,6 +294,20 @@ TEST_F(CampaignCheckpointFiles, LedgerToleratesOutOfOrderAppends) {
   EXPECT_EQ(folded.shards_done, 1u);
   EXPECT_EQ(folded.samples_done, 10u);
   EXPECT_FALSE(folded.complete);
+
+  // Shard 1 arrives as a line carrying the removed ap_* keys: it loads,
+  // fills the gap and folds like any other.
+  util::append_line_durable(checkpoint.ledger_path(), kLedgerLineWithApKeys);
+  const auto filled = checkpoint.load_ledger();
+  ASSERT_EQ(filled.size(), 3u);
+  EXPECT_EQ(filled[1].index, 1u);
+  EXPECT_EQ(filled[1].fails.successes, 3u);
+  EXPECT_EQ(filled[1].solver.newton_iterations, 1395u);
+  const CampaignResult all = fold_ledger(manifest, filled);
+  EXPECT_EQ(all.shards_done, 3u);
+  EXPECT_EQ(all.samples_done, 30u);
+  EXPECT_TRUE(all.complete);
+  EXPECT_EQ(all.solver.sp_symbolic_analyses, 2u);
 }
 
 TEST_F(CampaignCheckpointFiles, InitRefusesToClobberALedger) {

@@ -373,7 +373,7 @@ namespace {
 
 /// Array-like pattern: `groups` chains of `per_group` unknowns, each
 /// chain's last member coupled to one of two shared rail unknowns at the
-/// end — the cell-interior-vs-bitline shape the Schur fold targets.
+/// end — the cell-interior-vs-bitline shape the grouped ordering targets.
 /// Returns the group index lists (rails ungrouped).
 std::vector<std::vector<int>> fill_array_pattern(SparseMatrix& m,
                                                  std::size_t groups,
@@ -461,62 +461,6 @@ TEST(SparseLu, GroupedOrderingRejectsBadGroups) {
   EXPECT_THROW(lu.factor(a), std::invalid_argument);
   lu.set_ordering_groups({{0, 99}});  // out of range
   EXPECT_THROW(lu.factor(a), std::out_of_range);
-}
-
-TEST(SparseLu, PartialRefactorIsBitIdenticalToFull) {
-  util::Rng rng(71);
-  SparseMatrix a;
-  fill_array_pattern(a, 16, 4, rng);
-  const std::size_t n = a.size();
-  SparseLu lu;
-  ASSERT_TRUE(lu.factor(a));
-
-  // Perturb only the original rows whose permuted position is in the
-  // trailing quarter of the factor; every leading row stays bit-unchanged,
-  // so a partial refactor from `floor` must reproduce the full factor
-  // exactly.
-  const std::size_t floor = 3 * n / 4;
-  const auto& row_ptr = a.row_ptr();
-  auto& vals = a.values();
-  for (std::size_t r = 0; r < n; ++r) {
-    if (lu.permuted_row(r) < floor) continue;
-    for (auto k = static_cast<std::size_t>(row_ptr[r]);
-         k < static_cast<std::size_t>(row_ptr[r + 1]); ++k) {
-      vals[k] += rng.uniform(-0.05, 0.05);
-    }
-  }
-
-  bool was_analysis = true;
-  ASSERT_TRUE(lu.factor(a, -1.0, &was_analysis, floor));
-  EXPECT_FALSE(was_analysis);
-  std::vector<double> b_partial(n), b_full(n);
-  for (std::size_t i = 0; i < n; ++i) b_partial[i] = rng.uniform(-1.0, 1.0);
-  b_full = b_partial;
-  lu.solve(b_partial);
-
-  // A second LU that shares the same symbolic analysis (same pattern,
-  // pre-perturbation values) but numerically refactors the perturbed A
-  // from row 0: the partial sweep must reproduce its factors bitwise.
-  ASSERT_TRUE(lu.factor(a, -1.0, &was_analysis, 0));
-  EXPECT_FALSE(was_analysis);
-  lu.solve(b_full);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Bitwise: the retained leading rows plus the re-swept tail must
-    // equal the from-scratch numeric sweep exactly.
-    EXPECT_EQ(b_partial[i], b_full[i]) << "row " << i;
-  }
-
-  // floor == n with unchanged values is a legal no-op returning the
-  // cached factors.
-  ASSERT_TRUE(lu.factor(a, -1.0, &was_analysis, n));
-  EXPECT_FALSE(was_analysis);
-  std::vector<double> b_again(n), b_ref(n);
-  for (std::size_t i = 0; i < n; ++i) b_again[i] = rng.uniform(-1.0, 1.0);
-  b_ref = b_again;
-  lu.solve(b_again);
-  ASSERT_TRUE(lu.factor(a, -1.0, &was_analysis, 0));
-  lu.solve(b_ref);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(b_again[i], b_ref[i]);
 }
 
 TEST(SparseLu, PivotDegradationTriggersReanalysisAtArrayScale) {

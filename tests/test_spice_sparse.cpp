@@ -48,11 +48,10 @@ spice::TransientResult run_column(const sram::ColumnConfig& config,
                                   spice::SolverKind solver,
                                   sram::ColumnBuild* build_out = nullptr,
                                   bool fixed_steps = false,
-                                  spice::ActivityMode activity =
-                                      spice::ActivityMode::kOff,
-                                  double activity_tol = 0.0) {
+                                  bool grouped = true) {
   spice::Circuit circuit;
   auto build = sram::build_column(circuit, config);
+  if (!grouped) circuit.set_ordering_groups({});
   spice::TransientOptions options = sram::column_transient_options(config);
   options.solver = solver;
   if (fixed_steps) {
@@ -64,8 +63,6 @@ spice::TransientResult run_column(const sram::ColumnConfig& config,
     options.lte_reltol = 1e9;
     options.lte_abstol = 1e9;
   }
-  options.activity =
-      sram::column_activity(circuit, config, activity, activity_tol);
   if (build_out) *build_out = std::move(build);
   return spice::transient(circuit, options);
 }
@@ -252,92 +249,29 @@ TEST(SparseSolver, ThreadedColumnRunsAreBitIdentical) {
   }
 }
 
-TEST(SparseSolver, ActivityElideIsBitIdenticalOnFixedGrid) {
-  // Stamp replay at tolerance 0 on a fixed time grid is *exact*: the
-  // cached slot/residual adds are the same `+=` the device's load would
-  // have executed, so every voltage sample must match the unpartitioned
-  // sparse run bit for bit — while a large fraction of the device
-  // evaluations is elided.
-  const sram::ColumnConfig config = column_config(8);
-  const auto off =
-      run_column(config, spice::SolverKind::kSparse, nullptr, true);
-  sram::ColumnBuild build;
-  const auto elide = run_column(config, spice::SolverKind::kSparse, &build,
-                                true, spice::ActivityMode::kElide, 0.0);
-  ASSERT_EQ(elide.times(), off.times());
-  for (const std::string& node : off.node_names()) {
-    ASSERT_EQ(elide.voltage_samples(node), off.voltage_samples(node))
-        << "node " << node;
-  }
-  const auto& off_st = off.stats();
-  const auto& el_st = elide.stats();
-  EXPECT_EQ(el_st.newton_iterations, off_st.newton_iterations);
-  // At tolerance 0 a replay needs every input voltage bitwise unchanged,
-  // which a Newton update never leaves behind — so the partitioned path
-  // runs every load through the capture machinery and the accounting
-  // identity holds trivially. The exactness being tested is that the
-  // capture path (slot mirror + scratch-residual harvest) produces the
-  // same bits as the direct stamp.
-  EXPECT_EQ(el_st.device_loads + el_st.ap_elided_loads, off_st.device_loads);
-  EXPECT_EQ(off_st.ap_elided_loads, 0u);
-  // Quiescent rows sit at the bottom of the fill-reducing permutation, so
-  // most refactors only resweep the active suffix.
-  EXPECT_GT(el_st.ap_partial_refactors, 0u);
-  EXPECT_GT(el_st.ap_rows_skipped, 0u);
-}
-
-TEST(SparseSolver, ActivityElideToleranceBoundsError) {
-  // With a nonzero tolerance quiescent devices replay cached stamps while
-  // their inputs stay inside the tolerance ball, so a large fraction of
-  // the evaluations is elided and the waveform error stays on the order
-  // of the tolerance (far inside the dense-vs-sparse bound).
-  const sram::ColumnConfig config = column_config(8);
-  sram::ColumnBuild build;
-  const auto off =
-      run_column(config, spice::SolverKind::kSparse, &build, true);
-  const auto elide = run_column(config, spice::SolverKind::kSparse, nullptr,
-                                true, spice::ActivityMode::kElide, 1e-6);
-  const double t_end = off.times().back();
-  for (const std::string& node :
-       {build.bl, build.blb, build.cells[3].q, build.cells[0].q}) {
-    EXPECT_LT(max_waveform_diff(off, elide, node, t_end), 1e-4)
-        << "node " << node;
-  }
-  const auto& st = elide.stats();
-  EXPECT_GT(st.ap_elided_loads, 0u);
-  // Quiescent cells dominate this workload (6 of 8 rows are never
-  // addressed), so elision has to remove a meaningful share of the work,
-  // not a token amount.
-  EXPECT_GT(st.ap_elided_loads * 5, st.device_loads);
-  EXPECT_GT(st.ap_partial_refactors, 0u);
-}
-
-TEST(SparseSolver, ActivitySchurMatchesUnpartitioned) {
-  // The Schur fold changes the elimination order (quiescent-cell
-  // interiors first), which is a different—but still exact—LU of the same
-  // Jacobian. Waveforms must agree with the unpartitioned sparse run
+TEST(SparseSolver, GroupedOrderingMatchesUngrouped) {
+  // The column's unaddressed cells (1-6 of 8) are grouped: their
+  // interiors are eliminated first, a different—but still exact—LU of
+  // the same Jacobian. Waveforms must agree with the classic ordering
   // within the same tolerance the dense-vs-sparse tests use.
   const sram::ColumnConfig config = column_config(8);
   sram::ColumnBuild build;
-  const auto off =
-      run_column(config, spice::SolverKind::kSparse, &build, true);
-  const auto schur = run_column(config, spice::SolverKind::kSparse, nullptr,
-                                true, spice::ActivityMode::kSchur, 1e-6);
-  ASSERT_EQ(schur.times().size(), off.times().size());
-  const double t_end = off.times().back();
-  // Shared rails plus one quiescent cell's storage node: the fold must
+  const auto ungrouped = run_column(config, spice::SolverKind::kSparse,
+                                    &build, true, /*grouped=*/false);
+  const auto grouped =
+      run_column(config, spice::SolverKind::kSparse, nullptr, true);
+  ASSERT_EQ(grouped.times().size(), ungrouped.times().size());
+  const double t_end = ungrouped.times().back();
+  // Shared rails plus one grouped cell's storage node: the grouping must
   // not disturb either side of its boundary.
   for (const std::string& node :
        {build.bl, build.blb, build.cells[3].q, build.cells[0].q}) {
-    EXPECT_LT(max_waveform_diff(off, schur, node, t_end), 2e-4)
+    EXPECT_LT(max_waveform_diff(ungrouped, grouped, node, t_end), 2e-4)
         << "node " << node;
   }
-  const auto& st = schur.stats();
-  EXPECT_GT(st.ap_folded_cells, 0u);
-  EXPECT_GT(st.ap_elided_loads, 0u);
-  // The fold is part of the symbolic analysis; steady stepping must keep
-  // reusing it rather than re-analyzing.
-  EXPECT_LT(st.sp_symbolic_analyses, 5u);
+  // The grouping is part of the symbolic analysis; steady stepping must
+  // keep reusing it rather than re-analysing.
+  EXPECT_LT(grouped.stats().sp_symbolic_analyses, 5u);
 }
 
 }  // namespace
