@@ -205,11 +205,7 @@ void CampaignResult::write_fields(JsonWriter& json) const {
   json.add_u64("bt_steps", solver.bt_steps);
   json.add_u64("rtn_candidates", rtn.candidates);
   json.add_u64("rtn_accepted", rtn.accepted);
-  json.add_u64("rtn_segments", rtn.segments);
   json.add_u64("rtn_rng_refills", rtn.rng_refills);
-  json.add("rtn_envelope_integral", rtn.envelope_integral);
-  json.add("rtn_fixed_bound_integral", rtn.fixed_bound_integral);
-  json.add("rtn_envelope_efficiency", rtn.envelope_efficiency());
 }
 
 CampaignResult run_campaign(const Manifest& manifest,

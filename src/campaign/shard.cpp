@@ -234,10 +234,7 @@ std::string ShardResult::to_json() const {
   json.add_u64("bt_steps", solver.bt_steps);
   json.add_u64("rtn_candidates", rtn.candidates);
   json.add_u64("rtn_accepted", rtn.accepted);
-  json.add_u64("rtn_segments", rtn.segments);
   json.add_u64("rtn_rng_refills", rtn.rng_refills);
-  json.add("rtn_envelope_integral", rtn.envelope_integral);
-  json.add("rtn_fixed_bound_integral", rtn.fixed_bound_integral);
   return json.str();
 }
 
@@ -286,14 +283,12 @@ ShardResult ShardResult::from_json(const std::string& line) {
   result.solver.bt_batches = json.get_u64("bt_batches", 0);
   result.solver.bt_lanes = json.get_u64("bt_lanes", 0);
   result.solver.bt_steps = json.get_u64("bt_steps", 0);
-  // Sampler counters default to zero so pre-counter ledgers still parse.
+  // Sampler counters default to zero so pre-counter ledgers still parse;
+  // keys of the removed piecewise-majorant counters (rtn_segments,
+  // rtn_envelope_integral, rtn_fixed_bound_integral) are ignored.
   result.rtn.candidates = json.get_u64("rtn_candidates", 0);
   result.rtn.accepted = json.get_u64("rtn_accepted", 0);
-  result.rtn.segments = json.get_u64("rtn_segments", 0);
   result.rtn.rng_refills = json.get_u64("rtn_rng_refills", 0);
-  result.rtn.envelope_integral = json.get_double("rtn_envelope_integral", 0.0);
-  result.rtn.fixed_bound_integral =
-      json.get_double("rtn_fixed_bound_integral", 0.0);
   return result;
 }
 

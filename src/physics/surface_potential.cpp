@@ -31,8 +31,13 @@ double SurfacePotentialSolver::solve_psi_s(double v_gb) const {
   double hi = 2.0 * phi_f_ + 30.0 * phi_t_;
   if (gate_voltage_of_psi(lo) >= v_gb) return lo;
   if (gate_voltage_of_psi(hi) <= v_gb) return hi;
+  // Invariant: g(lo) < v_gb <= g(hi). Once the midpoint rounds onto an
+  // end point the bracket is a fixed point (the branch taken keeps that end
+  // where it is), so stopping there returns exactly what all 80 halvings
+  // would.
   for (int iter = 0; iter < 80; ++iter) {
     const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) break;
     if (gate_voltage_of_psi(mid) < v_gb) {
       lo = mid;
     } else {

@@ -40,6 +40,28 @@ constexpr const char* kLedgerLineWithApKeys =
     "\"rtn_segments\": 0, \"rtn_rng_refills\": 0, "
     "\"rtn_envelope_integral\": 0, \"rtn_fixed_bound_integral\": 0}";
 
+// Written by the release whose RTN sampler walked a piecewise majorant:
+// its sampler counters carried rtn_segments, rtn_envelope_integral and
+// rtn_fixed_bound_integral. Those keys are gone; such lines must still
+// load. (The removed keys are split across two literals so their names
+// survive only as data.)
+constexpr const char* kLedgerLineWithMajorantKeys =
+    "{\"shard\": 1, \"samples\": 10, \"w_count\": 0, \"w_failures\": 0, "
+    "\"w_sum\": 0, \"w_sq_sum\": 0, \"w_fail_sum\": 0, \"w_fail_sq_sum\": 0, "
+    "\"fail_count\": 10, \"fail_successes\": 4, \"nominal_count\": 0, "
+    "\"nominal_successes\": 0, \"slow_count\": 0, \"slow_successes\": 0, "
+    "\"value_count\": 0, \"value_mean\": 0, \"value_m2\": 0, "
+    "\"wall_seconds\": 4.75, \"nw_iterations\": 2210, "
+    "\"nw_factorizations\": 0, \"nw_solves\": 0, \"nw_bypass_hits\": 0, "
+    "\"nw_device_loads\": 0, \"nw_cache_hits\": 0, \"nw_steps_accepted\": 0, "
+    "\"nw_steps_rejected\": 0, \"nw_transients\": 0, "
+    "\"nw_workspace_allocations\": 0, \"sp_symbolic_analyses\": 0, "
+    "\"sp_numeric_refactors\": 0, \"sp_solves\": 0, \"bt_batches\": 0, "
+    "\"bt_lanes\": 0, \"bt_steps\": 0, \"rtn_candidates\": 27313, "
+    "\"rtn_accepted\": 4425, \"rtn_" "segments\": 81542, "
+    "\"rtn_rng_refills\": 9260, \"rtn_" "envelope_integral\": 27401.5, "
+    "\"rtn_" "fixed_bound_integral\": 98127.25}";
+
 constexpr const char* kManifestWithActivity =
     "{\"kind\": \"array-yield\", \"name\": \"campaign\", \"seed\": 1, "
     "\"budget\": 30, \"shard_size\": 10, \"threads\": 1, \"batch\": 1, "
@@ -308,6 +330,47 @@ TEST_F(CampaignCheckpointFiles, LedgerToleratesOutOfOrderAppends) {
   EXPECT_EQ(all.samples_done, 30u);
   EXPECT_TRUE(all.complete);
   EXPECT_EQ(all.solver.sp_symbolic_analyses, 2u);
+}
+
+TEST_F(CampaignCheckpointFiles, LedgerLoadsLinesWithMajorantKeys) {
+  // Shards 0 and 2 are written now; shard 1 is a line from the release
+  // with the piecewise-majorant counters. It loads, fills the gap, folds,
+  // and its re-serialised form drops the removed keys.
+  Checkpoint checkpoint(dir_);
+  Manifest manifest;
+  manifest.budget = 30;
+  manifest.shard_size = 10;
+  checkpoint.init(manifest);
+  ShardResult first, third;
+  first.index = 0;
+  first.samples = 10;
+  first.fails = {10, 1};
+  first.rtn.candidates = 100;
+  third.index = 2;
+  third.samples = 10;
+  third.fails = {10, 2};
+  third.rtn.candidates = 200;
+  checkpoint.append_ledger(first);
+  checkpoint.append_ledger(third);
+  EXPECT_FALSE(fold_ledger(manifest, checkpoint.load_ledger()).complete);
+
+  util::append_line_durable(checkpoint.ledger_path(),
+                            kLedgerLineWithMajorantKeys);
+  const auto ledger = checkpoint.load_ledger();
+  ASSERT_EQ(ledger.size(), 3u);
+  EXPECT_EQ(ledger[1].index, 1u);
+  EXPECT_EQ(ledger[1].fails.successes, 4u);
+  EXPECT_EQ(ledger[1].rtn.candidates, 27313u);
+  EXPECT_EQ(ledger[1].rtn.accepted, 4425u);
+  EXPECT_EQ(ledger[1].rtn.rng_refills, 9260u);
+  const CampaignResult all = fold_ledger(manifest, ledger);
+  EXPECT_EQ(all.shards_done, 3u);
+  EXPECT_EQ(all.samples_done, 30u);
+  EXPECT_TRUE(all.complete);
+  EXPECT_EQ(all.rtn.candidates, 100u + 27313u + 200u);
+  const std::string rewritten = ledger[1].to_json();
+  EXPECT_EQ(rewritten.find("segments"), std::string::npos);
+  EXPECT_EQ(rewritten.find("integral"), std::string::npos);
 }
 
 TEST_F(CampaignCheckpointFiles, InitRefusesToClobberALedger) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "physics/technology.hpp"
+#include "util/rng.hpp"
 
 namespace samurai::physics {
 namespace {
@@ -66,6 +71,54 @@ TEST(SurfacePotential, AccumulationClampsAtBracketEdge) {
   const SurfacePotentialSolver solver(tech);
   const double psi = solver.solve_psi_s(-5.0);
   EXPECT_LE(psi, 0.0);  // negative (accumulation side)
+}
+
+/// The bisection as it was before its early exit: always 80 halvings of
+/// the same bracket. Kept here as the bitwise reference.
+double eighty_step_psi_s(const SurfacePotentialSolver& solver,
+                         const Technology& tech, double v_gb) {
+  double lo = -1.5;
+  double hi = 2.0 * tech.phi_f() + 30.0 * tech.phi_t();
+  if (solver.gate_voltage_of_psi(lo) >= v_gb) return lo;
+  if (solver.gate_voltage_of_psi(hi) <= v_gb) return hi;
+  for (int iter = 0; iter < 80; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (solver.gate_voltage_of_psi(mid) < v_gb) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+TEST(SurfacePotential, EarlyExitIsBitwiseTheEightyStepBisection) {
+  // The biases SrhModel tabulates (4096 points over [-1, 2 V_dd + 1]),
+  // random biases across and beyond that range, and biases outside it
+  // (where SrhModel falls back to the direct solve).
+  util::Rng rng(4242);
+  for (const char* node : {"90nm", "45nm"}) {
+    const auto tech = technology(node);
+    const SurfacePotentialSolver solver(tech);
+    std::vector<double> biases;
+    const double lo = -1.0;
+    const double hi = 2.0 * tech.v_dd + 1.0;
+    const std::size_t points = 4096;
+    const double step = (hi - lo) / static_cast<double>(points - 1);
+    for (std::size_t i = 0; i < points; ++i) {
+      biases.push_back(lo + step * static_cast<double>(i));
+    }
+    for (int i = 0; i < 4000; ++i) biases.push_back(rng.uniform(-4.0, 6.0));
+    for (double v : {-50.0, -3.0, -1.0 - 1e-9, hi + 1e-9, hi + 2.0, 50.0}) {
+      biases.push_back(v);
+    }
+    for (double v : biases) {
+      const double reference = eighty_step_psi_s(solver, tech, v);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(solver.solve_psi_s(v)),
+                std::bit_cast<std::uint64_t>(reference))
+          << node << " V=" << v;
+    }
+  }
 }
 
 }  // namespace
